@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import colgen, edgeform
@@ -105,13 +106,14 @@ def _none_if_nan(x):
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
-    caps = _caps(args)
+    t_graph = time.perf_counter()
+    variants = enumerate_variants(instance, _caps(args), joint_k=args.joint_k)
+    graph = build_graph(instance, variants)
+    graph_s = time.perf_counter() - t_graph
+    if args.dump_graph:
+        dump_edges(graph, f"{prefix}.edges.csv")
 
     if args.edge:
-        variants = enumerate_variants(instance, caps, joint_k=args.joint_k)
-        graph = build_graph(instance, variants)
-        if args.dump_graph:
-            dump_edges(graph, f"{prefix}.edges.csv")
         res = edgeform.solve_edge(graph, instance,
                                   time_limit_s=args.time_limit or None)
         doc = {
@@ -129,11 +131,8 @@ def cmd_solve(args) -> int:
         return 0
 
     result = colgen.run(instance, scheme=args.scheme, heuristic=args.heuristic,
-                        limits=_limits(args), caps=caps, joint_k=args.joint_k,
+                        limits=_limits(args), graph=graph,
                         ip_time_limit_s=args.ip_time_limit or None)
-    if args.dump_graph:
-        variants = enumerate_variants(instance, caps, joint_k=args.joint_k)
-        dump_edges(build_graph(instance, variants), f"{prefix}.edges.csv")
     doc = {
         "instance": str(args.instance),
         "solver": "colgen",
@@ -150,7 +149,7 @@ def cmd_solve(args) -> int:
             "pricing_s": round(result.pricing_s, 3),
             "master_s": round(result.master_s, 3),
             "ip_s": round(result.ip_s, 3),
-            "total_s": round(result.total_s, 3),
+            "total_s": round(graph_s + result.total_s, 3),
         },
         "rides_per_car": result.plan.rides_per_car if result.plan else None,
         "shares_per_ride": result.plan.shares_per_ride if result.plan else None,
@@ -170,13 +169,12 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     instance = read_instance(args.instance)
-    fleet_list = [int(v) for v in args.vehicles.split(",")]
     prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
     caps = _caps(args)
     variants = enumerate_variants(instance, caps, joint_k=args.joint_k)
 
     rows = []
-    for m in fleet_list:
+    for m in args.vehicles:
         inst_m = _with_fleet(instance, m)
         graph = build_graph(inst_m, variants)
         result = colgen.run(inst_m, scheme=args.scheme, heuristic=args.heuristic,
@@ -195,6 +193,18 @@ def cmd_sweep(args) -> int:
             w.writerow([m, f"{ip:.6f}", f"{rides:.4f}", f"{shares:.4f}"])
     print(out)
     return 0
+
+
+def _fleet_sizes(text: str) -> list[int]:
+    """argparse type of --vehicles: comma-separated fleet sizes >= 0."""
+    try:
+        sizes = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got '{text}'") from None
+    if min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"fleet sizes must be >= 0, got '{text}'")
+    return sizes
 
 
 def _with_fleet(instance: Instance, total: int) -> Instance:
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="re-solve one instance over fleet sizes")
     w.add_argument("instance")
-    w.add_argument("--vehicles", default="0,1,2,4,8",
+    w.add_argument("--vehicles", type=_fleet_sizes, default="0,1,2,4,8",
                    help="comma-separated fleet sizes")
     _add_solve_flags(w)
     w.set_defaults(func=cmd_sweep)
@@ -310,6 +320,9 @@ def main(argv=None) -> int:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
         return 1
     except GenerationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except edgeform.EdgeModelSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,9 +23,7 @@ from .milp import EQ, LE, MilpProblem, TOL_RC
 from .model import Instance
 from .ridegraph import (
     RIDE,
-    Caps,
     TimeSpaceGraph,
-    VariantSet,
     build_graph,
     drop_negative,
     enumerate_variants,
@@ -444,18 +442,17 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
 
 
 def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
-        limits: Optional[CgLimits] = None, caps: Optional[Caps] = None,
-        joint_k: bool = False, graph: Optional[TimeSpaceGraph] = None,
-        variant_set: Optional[VariantSet] = None,
+        limits: Optional[CgLimits] = None,
+        graph: Optional[TimeSpaceGraph] = None,
         initial_routes: Optional[Iterable[Route]] = None,
-        shares_enabled: bool = True,
         ip_time_limit_s: Optional[float] = None) -> CgResult:
     """Delayed column generation followed by the restricted-master IP.
 
     Iterates: solve the restricted LP, price once per start depot on the
     current phase's graph, add columns according to the scheme, until no
     column prices above the threshold or a limit is hit. A heuristic phase
-    never resumes once the exact phase has started.
+    never resumes once the exact phase has started. Without a graph, the
+    variants are enumerated with the default caps and the graph built here.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -465,11 +462,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
     t_start = time.perf_counter()
 
     if graph is None:
-        if variant_set is None:
-            variant_set = enumerate_variants(instance, caps or Caps(),
-                                             shares_enabled=shares_enabled,
-                                             joint_k=joint_k)
-        graph = build_graph(instance, variant_set)
+        graph = build_graph(instance, enumerate_variants(instance))
     reduced = _reduced_graph(graph, heuristic)
 
     master = init_master(instance, graph)

@@ -321,13 +321,19 @@ def leg_saving_plain(user: UserTrip, q_i: Task, q_j: Task,
 def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
                      rider: UserTrip, r_i: Task, r_j: Task,
                      mots: Mapping[str, MotParams], costs: CostParams,
-                     joint_k: bool = False) -> float:
+                     joint_k: bool = False,
+                     leg_costs: tuple[float, float, float] | None = None) -> float:
     """Saving of covering the driver leg (d_i,d_j) and the rider leg (r_i,r_j)
     with one car, including the pickup/drop-off detours.
 
     Coincident pickup (d_i at r_i) or drop-off (r_j at d_j) locations skip the
     corresponding detour term. With joint_k=True the counterfactual picks one
     common non-car mode for both legs instead of each leg's own cheapest.
+
+    leg_costs, when given, holds what depends on one leg only: the driver
+    leg's and the rider leg's cheapest_other_mot costs and the rider leg's
+    car cost. The result is the same float as when they are computed here;
+    joint_k uses only the car cost.
     """
     if joint_k:
         other = min(
@@ -339,6 +345,8 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
                               k, mots, costs)
             for k in OTHER_MOTS if k in mots
         )
+    elif leg_costs is not None:
+        other = leg_costs[0] + leg_costs[1]
     else:
         _, other_d = cheapest_other_mot(driver, d_i.loc, d_j.loc,
                                         d_i.earliest_departure_s,
@@ -347,7 +355,10 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
                                         r_i.earliest_departure_s,
                                         r_j.latest_arrival_s, mots, costs)
         other = other_d + other_r
-    car = leg_cost(r_i.loc, r_j.loc, CAR, mots, costs)
+    if leg_costs is not None:
+        car = leg_costs[2]
+    else:
+        car = leg_cost(r_i.loc, r_j.loc, CAR, mots, costs)
     if d_i.loc != r_i.loc:
         car += leg_cost(d_i.loc, r_i.loc, CAR, mots, costs)
     if r_j.loc != d_j.loc:

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import csv
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     CAR,
     Instance,
     Task,
     UserTrip,
+    cheapest_other_mot,
+    leg_cost,
     leg_saving_plain,
     leg_saving_share,
     travel_time,
@@ -62,6 +65,15 @@ class TripVariant:
 
 @dataclass
 class EnumStats:
+    """Counters of one enumeration.
+
+    feasibility_checks counts the candidate (driver leg, rider leg) pairs:
+    for every leg of every driver, each leg of every other user, depot legs
+    included, and 0 with shares disabled. Pairs dismissed without a timeline
+    simulation, by the time-window bound or because the rider leg has a depot
+    end, still count, so the figure depends on the instance alone.
+    """
+
     n_variants: int = 0
     truncated_users: tuple[int, ...] = ()
     feasibility_checks: int = 0
@@ -83,23 +95,31 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
 
     The rider's leg must connect two of their tasks (depot ends are not
     pick-up or drop-off points); any leg of the driver's trip may host it.
-    Simulates the earliest car timeline: leave the leg origin at its earliest
-    departure, detour to the pickup (waiting for the rider if early), drop the
-    rider off by their deadline, then reach the driver's own destination in
-    time. Coincident pickup/drop-off locations skip their detour leg.
+    See _share_fits for the timeline.
     """
     if driver.user_id == rider.user_id:
         return False
-    mots = instance.mots
     du, dv = trip_legs(instance, driver)[driver_leg]
     ru, rv = trip_legs(instance, rider)[rider_leg]
     if ru.is_depot_endpoint or rv.is_depot_endpoint:
         return False  # riders are served between two of their tasks only
+    tt_r = travel_time(ru.loc, rv.loc, CAR, instance.mots)
+    return _share_fits(du, dv, ru, rv, tt_r, instance.mots)
+
+
+def _share_fits(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
+                mots) -> bool:
+    """Simulate the earliest car timeline of the rider leg (ru, rv), whose
+    car time is tt_r, inside the driver leg (du, dv): leave the leg origin at
+    its earliest departure, detour to the pickup (waiting for the rider if
+    early), drop the rider off by their deadline, then reach the driver's own
+    destination in time. Coincident pickup/drop-off locations skip their
+    detour leg."""
     t = du.earliest_departure_s
     if du.loc != ru.loc:
         t += travel_time(du.loc, ru.loc, CAR, mots)
     t = max(t, ru.earliest_departure_s)
-    t += travel_time(ru.loc, rv.loc, CAR, mots)
+    t += tt_r
     if t > rv.latest_arrival_s:
         return False
     if rv.loc != dv.loc:
@@ -107,7 +127,21 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
     return t <= dv.latest_arrival_s
 
 
-@dataclass(frozen=True)
+class _RiderLeg(NamedTuple):
+    """A task-to-task leg that some driver might serve, with what depends on
+    the leg alone."""
+
+    ready_s: int  # earliest drop-off: earliest departure plus car time
+    rider: UserTrip
+    leg: int
+    u: Task
+    v: Task
+    tt_s: int  # car time
+    fallback: float  # cheapest_other_mot cost
+    car_cost: float
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity: a key of per-option times
 class _LegOption:
     saving: float
     rider_id: int = -1
@@ -154,6 +188,28 @@ def _last_leg_arrival(instance: Instance, du: Task, dv: Task,
     return t
 
 
+def _rider_legs(instance: Instance,
+                legs_of: dict[int, list[tuple[Task, Task]]],
+                fallback_of: dict[int, list[float]]) -> list[_RiderLeg]:
+    """Every task-to-task leg that fits its own window, by ready time."""
+    mots = instance.mots
+    out = []
+    for rider in instance.users:
+        fallback = fallback_of[rider.user_id]
+        for idx, (ru, rv) in enumerate(legs_of[rider.user_id]):
+            if ru.is_depot_endpoint or rv.is_depot_endpoint:
+                continue
+            tt_r = travel_time(ru.loc, rv.loc, CAR, mots)
+            ready = ru.earliest_departure_s + tt_r
+            if ready > rv.latest_arrival_s:
+                continue
+            out.append(_RiderLeg(ready, rider, idx, ru, rv, tt_r, fallback[idx],
+                                 leg_cost(ru.loc, rv.loc, CAR, mots,
+                                          instance.costs)))
+    out.sort(key=lambda r: r.ready_s)
+    return out
+
+
 def enumerate_variants(instance: Instance, caps: Caps = None,
                        shares_enabled: bool = True,
                        joint_k: bool = False) -> VariantSet:
@@ -164,38 +220,60 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     cross product of per-leg options with higher-saving options preferred
     (ties broken by rider id, then rider leg). Hitting a cap truncates and is
     recorded in the stats, never an error.
+
+    A share needs ru.earliest + tt_r <= min(rv.latest, dv.latest) and
+    du.earliest <= rv.latest - tt_r for rider leg (ru, rv) with car time tt_r
+    and driver leg (du, dv), since the car reaches the pickup no earlier than
+    either party is ready there. Rider legs kept sorted by ru.earliest + tt_r
+    let a bisection drop those that miss a driver leg's deadline; only the
+    rest get the exact timeline simulation. The bound rejects no pair the
+    simulation accepts, so the output is that of simulating every pair.
     """
     caps = caps or Caps()
+    mots, costs = instance.mots, instance.costs
     stats = EnumStats()
     truncated: list[int] = []
     by_user: dict[int, list[TripVariant]] = {}
     next_id = 0
 
     legs_of = {u.user_id: trip_legs(instance, u) for u in instance.users}
+    fallback_of = {  # cheapest_other_mot cost of every leg
+        u.user_id: [cheapest_other_mot(u, a.loc, b.loc, a.earliest_departure_s,
+                                       b.latest_arrival_s, mots, costs)[1]
+                    for a, b in legs_of[u.user_id]]
+        for u in instance.users}
+    n_legs = sum(len(legs_of[u.user_id]) for u in instance.users)
+    riders = _rider_legs(instance, legs_of, fallback_of) if shares_enabled else []
+    ready = [r.ready_s for r in riders]
 
     for driver in instance.users:
         legs = legs_of[driver.user_id]
+        fallback = fallback_of[driver.user_id]
         options: list[list[_LegOption]] = []
         for leg_idx, (du, dv) in enumerate(legs):
-            base = _LegOption(leg_saving_plain(driver, du, dv,
-                                               instance.mots, instance.costs))
+            base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs))
             shares: list[_LegOption] = []
             if shares_enabled:
-                for rider in instance.users:
-                    if rider.user_id == driver.user_id:
+                stats.feasibility_checks += n_legs - len(legs)
+                fits_by = bisect_right(ready, dv.latest_arrival_s)
+                for _, rider, r_idx, ru, rv, tt_r, r_fallback, r_car in riders[:fits_by]:
+                    if (rider.user_id == driver.user_id
+                            or du.earliest_departure_s + tt_r > rv.latest_arrival_s
+                            or not _share_fits(du, dv, ru, rv, tt_r, mots)):
                         continue
-                    for r_idx, (ru, rv) in enumerate(legs_of[rider.user_id]):
-                        stats.feasibility_checks += 1
-                        if not feasible_share(instance, driver, leg_idx,
-                                              rider, r_idx):
-                            continue
-                        sav = leg_saving_share(driver, du, dv, rider, ru, rv,
-                                               instance.mots, instance.costs,
-                                               joint_k=joint_k)
-                        shares.append(_LegOption(sav, rider.user_id, r_idx, ru, rv))
+                    sav = leg_saving_share(
+                        driver, du, dv, rider, ru, rv, mots, costs,
+                        joint_k=joint_k,
+                        leg_costs=(fallback[leg_idx], r_fallback, r_car))
+                    shares.append(_LegOption(sav, rider.user_id, r_idx, ru, rv))
             shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
             options.append([base] + shares)
 
+        depart = {o: _first_leg_departure(instance, *legs[0], o)
+                  for o in options[0]}
+        arrive = {o: _last_leg_arrival(instance, *legs[-1], o)
+                  for o in options[-1]}
+        own_tasks = {(driver.user_id, t.id) for t in driver.tasks}
         variants: list[TripVariant] = []
         max_v = caps.max_variants_per_user
         max_s = caps.max_shares_per_trip
@@ -211,7 +289,8 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
             if max_v is not None and len(variants) >= max_v:
                 was_truncated = True
                 break
-            variants.append(_make_variant(instance, driver, legs, combo, next_id))
+            variants.append(_make_variant(driver, combo, depart[combo[0]],
+                                          arrive[combo[-1]], own_tasks, next_id))
             next_id += 1
         if was_truncated:
             truncated.append(driver.user_id)
@@ -222,12 +301,10 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     return VariantSet(by_user, stats)
 
 
-def _make_variant(instance: Instance, driver: UserTrip,
-                  legs: Sequence[tuple[Task, Task]],
-                  combo: Sequence[_LegOption], variant_id: int) -> TripVariant:
-    depart = _first_leg_departure(instance, *legs[0], combo[0])
-    arrive = _last_leg_arrival(instance, *legs[-1], combo[-1])
-    covered = {(driver.user_id, t.id) for t in driver.tasks}
+def _make_variant(driver: UserTrip, combo: Sequence[_LegOption], depart: int,
+                  arrive: int, own_tasks: set[tuple[int, int]],
+                  variant_id: int) -> TripVariant:
+    covered = set(own_tasks)
     shares: list[tuple[int, int, int]] = []
     for leg_idx, opt in enumerate(combo):
         if not opt.is_share:

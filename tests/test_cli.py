@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from mmcrp import cli, colgen
 from mmcrp.cli import main, split_fleet
+from mmcrp.instgen import read_instance
+from mmcrp.ridegraph import Caps, build_graph, dump_edges, enumerate_variants
 
 
 def run_cli(*argv):
@@ -111,6 +114,49 @@ def test_dump_graph_flag(tmp_path):
         header = fh.readline().strip().split(",")
     assert header == ["tail_depot", "tail_s", "head_depot", "head_s",
                       "variant_id", "saving_eur"]
+
+
+def test_dump_graph_enumerates_once(tmp_path, monkeypatch):
+    run_cli("gen", "--users", "6", "--seed", "4", "--out-dir", str(tmp_path))
+    inst = tmp_path / "E_6_4.json"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_variants(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_variants", counted)
+    monkeypatch.setattr(colgen, "enumerate_variants", counted)
+    assert run_cli("solve", str(inst), "--dump-graph") == 0
+    assert len(calls) == 1
+
+    instance = read_instance(inst)
+    dump_edges(build_graph(instance, enumerate_variants(instance, Caps())),
+               tmp_path / "expected.csv")
+    assert (tmp_path / "E_6_4.edges.csv").read_text() == \
+        (tmp_path / "expected.csv").read_text()
+    doc = json.loads((tmp_path / "E_6_4.result.json").read_text())
+    assert set(doc["timings"]) == {"pricing_s", "master_s", "ip_s", "total_s"}
+
+
+def test_oversized_edge_model_is_usage_error(tmp_path, capsys):
+    run_cli("gen", "--users", "80", "--seed", "0", "--out-dir", str(tmp_path))
+    capsys.readouterr()
+    assert run_cli("solve", str(tmp_path / "E_80_0.json"), "--edge") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "1566 rows x 13436 columns" in err
+    assert "column-generation" in err
+    assert not (tmp_path / "E_80_0.result.json").exists()
+
+
+@pytest.mark.parametrize("vehicles", ["a,b", "1,,2", "2,-1"])
+def test_sweep_bad_vehicles_is_usage_error(tmp_path, capsys, vehicles):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", str(tmp_path / "x.json"), "--vehicles", vehicles)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("mmcrp sweep: error: argument --vehicles:")
 
 
 def test_sweep_monotone_and_zero_row(tmp_path):
