@@ -47,24 +47,36 @@ def _caps(args) -> Caps:
     )
 
 
-def _add_solve_flags(p: argparse.ArgumentParser, with_scheme: bool = True):
-    if with_scheme:
-        p.add_argument("--scheme", choices=colgen.SCHEMES, default="multiple")
-        p.add_argument("--heuristic", choices=colgen.HEURISTICS, default="none")
-        p.add_argument("--early-stop", type=int, default=0, metavar="N",
-                       help="stop column generation after N iterations (0 = off)")
-    p.add_argument("--time-limit", type=float, default=0.0, metavar="S",
+def _at_least(low, kind=int):
+    """argparse type: a number of the given kind that is >= low."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} >= {low}, got '{text}'")
+        return value
+    return parse
+
+
+def _add_solve_flags(p: argparse.ArgumentParser):
+    p.add_argument("--scheme", choices=colgen.SCHEMES, default="multiple")
+    p.add_argument("--heuristic", choices=colgen.HEURISTICS, default="none")
+    p.add_argument("--early-stop", type=_at_least(0), default=0, metavar="N",
+                   help="stop column generation after N iterations (0 = off)")
+    p.add_argument("--time-limit", type=_at_least(0, float), default=0.0,
+                   metavar="S",
                    help="wall-clock limit for column generation (0 = off)")
-    p.add_argument("--ip-time-limit", type=float, default=0.0, metavar="S",
+    p.add_argument("--ip-time-limit", type=_at_least(0, float), default=0.0,
+                   metavar="S",
                    help="wall-clock limit for the restricted IP (0 = off)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="pricing parallelism; this build prices sequentially, "
-                        "logs are bit-stable for any value")
     p.add_argument("--joint-k", action="store_true",
                    help="use one common fallback mode for both legs of a share")
-    p.add_argument("--max-shares", type=int, default=3,
+    p.add_argument("--max-shares", type=_at_least(-1), default=3,
                    help="max co-rider insertions per trip (-1 = unlimited)")
-    p.add_argument("--max-variants", type=int, default=200,
+    p.add_argument("--max-variants", type=_at_least(-1), default=200,
                    help="max variants per user (-1 = unlimited)")
     p.add_argument("--out", default=None, help="output path prefix")
 
@@ -197,14 +209,7 @@ def cmd_sweep(args) -> int:
 
 def _fleet_sizes(text: str) -> list[int]:
     """argparse type of --vehicles: comma-separated fleet sizes >= 0."""
-    try:
-        sizes = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got '{text}'") from None
-    if min(sizes) < 0:
-        raise argparse.ArgumentTypeError(f"fleet sizes must be >= 0, got '{text}'")
-    return sizes
+    return [_at_least(0)(v) for v in text.split(",")]
 
 
 def _with_fleet(instance: Instance, total: int) -> Instance:

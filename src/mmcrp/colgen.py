@@ -181,73 +181,60 @@ class PricingResult:
     edges_relaxed: int
 
 
-def _graph_arrays(graph: TimeSpaceGraph):
-    arrays = getattr(graph, "_pricing_arrays", None)
-    if arrays is not None:
-        return arrays
-    edges = graph.edges
-    tails = np.array([e.tail for e in edges], dtype=np.int64)
-    heads = np.array([e.head for e in edges], dtype=np.int64)
-    base = np.array([e.saving if e.kind == RIDE else 0.0 for e in edges])
-    task_ids = sorted({t for e in edges for t in e.covered_tasks})
-    task_pos = {t: i for i, t in enumerate(task_ids)}
-    flat_edge = []
-    flat_task = []
-    for e in edges:
-        for t in e.covered_tasks:
-            flat_edge.append(e.id)
-            flat_task.append(task_pos[t])
-    arrays = (
-        tails, heads, np.array(graph.topo_edges, dtype=np.int64), base,
-        np.array(flat_edge, dtype=np.int64), np.array(flat_task, dtype=np.int64),
-        task_ids,
-    )
-    graph._pricing_arrays = arrays
-    return arrays
-
-
 def edge_weights(graph: TimeSpaceGraph, duals: DualPrices) -> np.ndarray:
     """Pricing weight per edge: saving minus coverage duals (0 for waiting)."""
-    tails, heads, topo, base, flat_edge, flat_task, task_ids = _graph_arrays(graph)
-    if len(task_ids) == 0 or len(flat_edge) == 0:
-        return base.copy()
-    alpha_vec = np.array([duals.alpha.get(t, 0.0) for t in task_ids])
-    sums = np.bincount(flat_edge, weights=alpha_vec[flat_task],
-                       minlength=len(graph.edges))
-    return base - sums
+    alpha = np.array([duals.alpha.get(t, 0.0) for t in graph.task_ids])
+    return graph.saving - np.bincount(graph.cover_edge,
+                                      weights=alpha[graph.cover_task],
+                                      minlength=len(graph.edges))
 
 
 def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
-          collect: str = "best", tol: float = TOL_RC,
+          collect: str = "best",
           weights: Optional[np.ndarray] = None) -> PricingResult:
     """Label-setting longest path from (start_depot, sigma).
 
     One relaxation per edge in topological order (the exposed counter equals
-    |E| on every call). Returns the best route per end depot; with
+    |E| on every call); a later edge replaces a node's label only if it wins
+    by more than 1e-12. Returns the best route per end depot; with
     collect='all' additionally every positive-reduced-saving candidate, one
-    per distinct ride-edge set, extended to its sink along the waiting chain.
+    per distinct (ride set, end depot), extended to its sink along the
+    waiting chain.
+
+    Those candidates are the start node (the empty route) and every node
+    whose best label arrives over a ride edge. A node reached over a waiting
+    edge repeats the label, ride set and depot of its predecessor, so the
+    last ride edge on a node's parent chain fixes its ride set, and that
+    edge's head is the earliest node with it. Visiting nodes in time order
+    and keeping the first node of each (ride set, end depot) therefore keeps
+    exactly these nodes, in the same order.
     """
-    tails, heads, topo, base, _, _, _ = _graph_arrays(graph)
-    w = weights if weights is not None else edge_weights(graph, duals)
+    w = (weights if weights is not None else edge_weights(graph, duals)).tolist()
+    head = graph.head.tolist()
     n = len(graph.nodes)
     neg_inf = -math.inf
     f = [neg_inf] * n
     parent = [-1] * n
-    f[graph.source[start_depot]] = 0.0
+    start = graph.source[start_depot]
+    f[start] = 0.0
     relaxed = 0
-    edges = graph.edges
-    for eid in topo:
-        relaxed += 1
-        ft = f[tails[eid]]
-        if ft == neg_inf:
+    for v, out in enumerate(graph.out_edges):
+        relaxed += len(out)
+        fv = f[v]
+        if fv == neg_inf:
             continue
-        cand = ft + w[eid]
-        h = heads[eid]
-        if cand > f[h] + 1e-12:
-            f[h] = cand
-            parent[h] = eid
+        for eid in out:
+            cand = fv + w[eid]
+            h = head[eid]
+            if cand > f[h] + 1e-12:
+                f[h] = cand
+                parent[h] = eid
 
+    edges = graph.edges
     beta = duals.beta.get(start_depot, 0.0)
+
+    def reduced(node: int) -> float:
+        return f[node] - beta - duals.delta.get(graph.node_depot(node), 0.0)
 
     def reconstruct(node: int) -> Candidate:
         vids: list[int] = []
@@ -262,34 +249,23 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
                 covered.extend(graph.variants[e.variant_id].covered)
             v = e.tail
         vids.reverse()
-        end_d = graph.node_depot(node)
-        rc = f[node] - beta - duals.delta.get(end_d, 0.0)
         # multiset on purpose: pricing valued a twice-touched task twice
-        return Candidate(rc, start_depot, end_d, tuple(vids),
-                         tuple(sorted(covered)), saving)
+        return Candidate(reduced(node), start_depot, graph.node_depot(node),
+                         tuple(vids), tuple(sorted(covered)), saving)
 
     best_per_end: dict[int, Candidate] = {}
     for d, sink in sorted(graph.sink.items()):
         if f[sink] > neg_inf:
             best_per_end[d] = reconstruct(sink)
 
-    candidates: list[Candidate] = []
     if collect == "all":
-        seen = set()
-        for v in range(n):
-            if f[v] == neg_inf:
-                continue
-            d = graph.node_depot(v)
-            if f[v] - beta - duals.delta.get(d, 0.0) <= tol:
-                continue
-            cand = reconstruct(v)
-            key = (frozenset(cand.variant_ids), d)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(cand)
+        candidates = [
+            reconstruct(v) for v in range(n)
+            if (v == start or parent[v] >= 0 and edges[parent[v]].kind == RIDE)
+            and reduced(v) > TOL_RC]
     else:
-        candidates = [c for c in best_per_end.values() if c.reduced_saving > tol]
+        candidates = [c for c in best_per_end.values()
+                      if c.reduced_saving > TOL_RC]
 
     return PricingResult(start_depot, best_per_end, candidates, relaxed)
 
@@ -299,7 +275,6 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
 
 @dataclass
 class CgLimits:
-    max_iterations: Optional[int] = None
     early_stop_iterations: Optional[int] = None
     time_limit_s: Optional[float] = None
 
@@ -515,8 +490,6 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
             certified = not picked
             break
         if limits.early_stop_iterations and iterations >= limits.early_stop_iterations:
-            break
-        if limits.max_iterations and iterations >= limits.max_iterations:
             break
         if limits.time_limit_s and time.perf_counter() - t_start > limits.time_limit_s:
             break

@@ -141,11 +141,10 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
 
 
 def solve_edge(graph: TimeSpaceGraph, instance: Instance,
-               time_limit_s: Optional[float] = None,
-               max_dense_cells: int = 6_000_000) -> EdgeResult:
+               time_limit_s: Optional[float] = None) -> EdgeResult:
     """Solve the direct formulation and decode the flow into vehicle routes;
     uncovered tasks get their cheapest-other fallback in the plan."""
-    model = build_edge_model(graph, instance, max_dense_cells)
+    model = build_edge_model(graph, instance)
     res: IpResult = solve_ip(model.problem, time_limit_s=time_limit_s)
     if res.status in ("infeasible", "unbounded") or res.x is None:
         return EdgeResult(res.status, math.nan, res.bound, None, math.inf)

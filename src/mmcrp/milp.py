@@ -102,7 +102,7 @@ class LpSolution:
 
 @dataclass
 class IpResult:
-    status: str                       # optimal | infeasible | unbounded | time_limit | node_limit
+    status: str                       # optimal | infeasible | unbounded | time_limit
     objective: float
     x: Optional[np.ndarray]
     bound: float
@@ -485,8 +485,7 @@ def _most_fractional(x: np.ndarray, integer: Sequence[bool]) -> int:
     return best_j
 
 
-def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None,
-             node_limit: Optional[int] = None) -> IpResult:
+def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpResult:
     """Depth-first branch and bound on the most-fractional variable (ties by
     lowest index). Returns the incumbent and the best remaining bound; when
     the tree is exhausted the bound equals the incumbent (gap 0)."""
@@ -504,14 +503,11 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None,
     nodes = 0
     # stack entries: (bounds dict, parent state, parent bound)
     stack: list[tuple[dict, Optional[SimplexState], float]] = [({}, None, root.objective)]
-    hit_limit = None
+    timed_out = False
 
     while stack:
         if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
-            hit_limit = "time_limit"
-            break
-        if node_limit is not None and nodes >= node_limit:
-            hit_limit = "node_limit"
+            timed_out = True
             break
         bnds, state, parent_bound = stack.pop()
         if parent_bound <= best_obj + 1e-9:
@@ -538,14 +534,15 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None,
         stack.append((down, sol.state, sol.objective))
         stack.append((up, sol.state, sol.objective))   # explore 'up' first
 
-    if best_x is None and hit_limit is None:
+    if best_x is None and not timed_out:
         return IpResult("infeasible", math.nan, None, math.nan, nodes=nodes)
     open_bound = max((pb for _, _, pb in stack), default=-math.inf)
-    bound = max(best_obj, open_bound) if hit_limit else best_obj
-    gap = 0.0 if not hit_limit else (
+    bound = max(best_obj, open_bound) if timed_out else best_obj
+    gap = 0.0 if not timed_out else (
         (bound - best_obj) / max(abs(best_obj), 1e-9) if best_x is not None else math.inf
     )
-    return IpResult(hit_limit or "optimal", best_obj, best_x, bound, nodes, gap)
+    return IpResult("time_limit" if timed_out else "optimal", best_obj, best_x,
+                    bound, nodes, gap)
 
 
 def write_lp_file(problem: MilpProblem, path, name: str = "exported",

@@ -16,6 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .model import (
     CAR,
     Instance,
@@ -95,7 +97,7 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
 
     The rider's leg must connect two of their tasks (depot ends are not
     pick-up or drop-off points); any leg of the driver's trip may host it.
-    See _share_fits for the timeline.
+    See _share_arrival for the timeline.
     """
     if driver.user_id == rider.user_id:
         return False
@@ -104,27 +106,27 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
     if ru.is_depot_endpoint or rv.is_depot_endpoint:
         return False  # riders are served between two of their tasks only
     tt_r = travel_time(ru.loc, rv.loc, CAR, instance.mots)
-    return _share_fits(du, dv, ru, rv, tt_r, instance.mots)
+    return _share_arrival(du, dv, ru, rv, tt_r, instance.mots) is not None
 
 
-def _share_fits(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
-                mots) -> bool:
+def _share_arrival(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
+                   mots) -> Optional[int]:
     """Simulate the earliest car timeline of the rider leg (ru, rv), whose
     car time is tt_r, inside the driver leg (du, dv): leave the leg origin at
     its earliest departure, detour to the pickup (waiting for the rider if
     early), drop the rider off by their deadline, then reach the driver's own
     destination in time. Coincident pickup/drop-off locations skip their
-    detour leg."""
+    detour leg. Returns the arrival at dv, or None if a deadline is missed."""
     t = du.earliest_departure_s
     if du.loc != ru.loc:
         t += travel_time(du.loc, ru.loc, CAR, mots)
     t = max(t, ru.earliest_departure_s)
     t += tt_r
     if t > rv.latest_arrival_s:
-        return False
+        return None
     if rv.loc != dv.loc:
         t += travel_time(rv.loc, dv.loc, CAR, mots)
-    return t <= dv.latest_arrival_s
+    return t if t <= dv.latest_arrival_s else None
 
 
 class _RiderLeg(NamedTuple):
@@ -141,9 +143,13 @@ class _RiderLeg(NamedTuple):
     car_cost: float
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: a key of per-option times
-class _LegOption:
+class _LegOption(NamedTuple):
+    """One way to drive a driver leg: alone, or with the rider leg
+    (rider_u, rider_v) on board."""
+
     saving: float
+    arrive_s: int  # arrival at the leg's end after its earliest departure
+    depart_s: Optional[int]  # first leg only: latest depot departure
     rider_id: int = -1
     rider_leg: int = -1
     rider_u: Optional[Task] = None
@@ -154,37 +160,18 @@ class _LegOption:
         return self.rider_id >= 0
 
 
-def _first_leg_departure(instance: Instance, du: Task, dv: Task,
-                         opt: _LegOption) -> int:
-    """Latest depot departure that still meets every deadline on the first leg."""
-    mots = instance.mots
-    if not opt.is_share:
-        return dv.latest_arrival_s - travel_time(du.loc, dv.loc, CAR, mots)
-    ru, rv = opt.rider_u, opt.rider_v
+def _share_departure(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
+                     mots) -> int:
+    """Latest departure from du that still meets every deadline of the
+    driver leg (du, dv) with the rider leg (ru, rv), of car time tt_r, on
+    board."""
     t = dv.latest_arrival_s
     if rv.loc != dv.loc:
         t -= travel_time(rv.loc, dv.loc, CAR, mots)
     t = min(t, rv.latest_arrival_s)
-    t -= travel_time(ru.loc, rv.loc, CAR, mots)
+    t -= tt_r
     if du.loc != ru.loc:
         t -= travel_time(du.loc, ru.loc, CAR, mots)
-    return t
-
-
-def _last_leg_arrival(instance: Instance, du: Task, dv: Task,
-                      opt: _LegOption) -> int:
-    """Arrival time at the end depot when leaving the last task on time."""
-    mots = instance.mots
-    t = du.earliest_departure_s
-    if not opt.is_share:
-        return t + travel_time(du.loc, dv.loc, CAR, mots)
-    ru, rv = opt.rider_u, opt.rider_v
-    if du.loc != ru.loc:
-        t += travel_time(du.loc, ru.loc, CAR, mots)
-    t = max(t, ru.earliest_departure_s)
-    t += travel_time(ru.loc, rv.loc, CAR, mots)
-    if rv.loc != dv.loc:
-        t += travel_time(rv.loc, dv.loc, CAR, mots)
     return t
 
 
@@ -251,28 +238,33 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
         fallback = fallback_of[driver.user_id]
         options: list[list[_LegOption]] = []
         for leg_idx, (du, dv) in enumerate(legs):
-            base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs))
+            first = leg_idx == 0
+            tt = travel_time(du.loc, dv.loc, CAR, mots)
+            base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs),
+                              du.earliest_departure_s + tt,
+                              dv.latest_arrival_s - tt if first else None)
             shares: list[_LegOption] = []
             if shares_enabled:
                 stats.feasibility_checks += n_legs - len(legs)
                 fits_by = bisect_right(ready, dv.latest_arrival_s)
                 for _, rider, r_idx, ru, rv, tt_r, r_fallback, r_car in riders[:fits_by]:
                     if (rider.user_id == driver.user_id
-                            or du.earliest_departure_s + tt_r > rv.latest_arrival_s
-                            or not _share_fits(du, dv, ru, rv, tt_r, mots)):
+                            or du.earliest_departure_s + tt_r > rv.latest_arrival_s):
+                        continue
+                    arrive = _share_arrival(du, dv, ru, rv, tt_r, mots)
+                    if arrive is None:
                         continue
                     sav = leg_saving_share(
                         driver, du, dv, rider, ru, rv, mots, costs,
                         joint_k=joint_k,
                         leg_costs=(fallback[leg_idx], r_fallback, r_car))
-                    shares.append(_LegOption(sav, rider.user_id, r_idx, ru, rv))
+                    depart = (_share_departure(du, dv, ru, rv, tt_r, mots)
+                              if first else None)
+                    shares.append(_LegOption(sav, arrive, depart, rider.user_id,
+                                             r_idx, ru, rv))
             shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
             options.append([base] + shares)
 
-        depart = {o: _first_leg_departure(instance, *legs[0], o)
-                  for o in options[0]}
-        arrive = {o: _last_leg_arrival(instance, *legs[-1], o)
-                  for o in options[-1]}
         own_tasks = {(driver.user_id, t.id) for t in driver.tasks}
         variants: list[TripVariant] = []
         max_v = caps.max_variants_per_user
@@ -289,8 +281,7 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
             if max_v is not None and len(variants) >= max_v:
                 was_truncated = True
                 break
-            variants.append(_make_variant(driver, combo, depart[combo[0]],
-                                          arrive[combo[-1]], own_tasks, next_id))
+            variants.append(_make_variant(driver, combo, own_tasks, next_id))
             next_id += 1
         if was_truncated:
             truncated.append(driver.user_id)
@@ -301,8 +292,8 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     return VariantSet(by_user, stats)
 
 
-def _make_variant(driver: UserTrip, combo: Sequence[_LegOption], depart: int,
-                  arrive: int, own_tasks: set[tuple[int, int]],
+def _make_variant(driver: UserTrip, combo: Sequence[_LegOption],
+                  own_tasks: set[tuple[int, int]],
                   variant_id: int) -> TripVariant:
     covered = set(own_tasks)
     shares: list[tuple[int, int, int]] = []
@@ -318,8 +309,8 @@ def _make_variant(driver: UserTrip, combo: Sequence[_LegOption], depart: int,
         driver=driver.user_id,
         start_depot=driver.start_depot,
         end_depot=driver.end_depot,
-        depart_s=depart,
-        arrive_s=arrive,
+        depart_s=combo[0].depart_s,
+        arrive_s=combo[-1].arrive_s,
         saving_eur=trip_saving(o.saving for o in combo),
         covered=tuple(sorted(covered)),
         shares=tuple(shares),
@@ -365,9 +356,17 @@ class Edge:
 @dataclass
 class TimeSpaceGraph:
     """DAG over depot-time nodes: ride edges (one per variant) plus the
-    waiting chain of every depot. Edges in topo_edges are sorted by tail
-    time, then tail depot, then edge id, which is a valid relaxation order
-    because every edge strictly increases time."""
+    waiting chain of every depot.
+
+    Nodes are sorted by time, then depot, and every edge strictly increases
+    time, so visiting the nodes in order and each node's out_edges in edge-id
+    order relaxes every edge after all edges into its tail; topo_edges is
+    that order spelled out. Per edge, indexed by edge id: tail and head
+    (node indices), saving (the ride saving, 0 for waiting edges). task_ids
+    lists every task some ride edge covers, sorted; the cover pairs
+    (cover_edge[k], cover_task[k]) say that edge cover_edge[k] covers task
+    task_ids[cover_task[k]], listed edge by edge in covered_tasks order.
+    """
 
     nodes: list[tuple[int, int]]
     edges: list[Edge]
@@ -375,10 +374,15 @@ class TimeSpaceGraph:
     sink: dict[int, int]
     topo_edges: list[int]
     out_edges: list[list[int]]
-    in_edges: list[list[int]]
     variants: dict[int, TripVariant]
     sigma_s: int
     tau_s: int
+    tail: np.ndarray
+    head: np.ndarray
+    saving: np.ndarray
+    task_ids: list[int]
+    cover_edge: np.ndarray
+    cover_task: np.ndarray
 
     @property
     def ride_edges(self) -> list[Edge]:
@@ -418,25 +422,28 @@ def _assemble(depot_ids: Sequence[int], sigma: int, tau: int,
             edges.append(Edge(len(edges), index[(d, t0)], index[(d, t1)], WAIT))
 
     out_edges = [[] for _ in nodes]
-    in_edges = [[] for _ in nodes]
     for e in edges:
         out_edges[e.tail].append(e.id)
-        in_edges[e.head].append(e.id)
-    topo = sorted(
-        (e.id for e in edges),
-        key=lambda eid: (nodes[edges[eid].tail][1], nodes[edges[eid].tail][0], eid),
-    )
+    task_ids = sorted({t for e in edges for t in e.covered_tasks})
+    task_pos = {t: i for i, t in enumerate(task_ids)}
+    cover_edge = [e.id for e in edges for _ in e.covered_tasks]
+    cover_task = [task_pos[t] for e in edges for t in e.covered_tasks]
     return TimeSpaceGraph(
         nodes=nodes,
         edges=edges,
         source={d: index[(d, sigma)] for d in depot_ids},
         sink={d: index[(d, tau)] for d in depot_ids},
-        topo_edges=topo,
+        topo_edges=[eid for out in out_edges for eid in out],
         out_edges=out_edges,
-        in_edges=in_edges,
         variants=variants,
         sigma_s=sigma,
         tau_s=tau,
+        tail=np.array([e.tail for e in edges], dtype=np.int64),
+        head=np.array([e.head for e in edges], dtype=np.int64),
+        saving=np.array([e.saving for e in edges], dtype=float),
+        task_ids=task_ids,
+        cover_edge=np.array(cover_edge, dtype=np.int64),
+        cover_task=np.array(cover_task, dtype=np.int64),
     )
 
 

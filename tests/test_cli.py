@@ -63,8 +63,8 @@ def test_solve_writes_result_and_convergence(tmp_path):
 def test_solve_is_deterministic(tmp_path):
     run_cli("gen", "--users", "6", "--seed", "2", "--out-dir", str(tmp_path))
     inst = tmp_path / "E_6_2.json"
-    run_cli("solve", str(inst), "--threads", "1", "--out", str(tmp_path / "a"))
-    run_cli("solve", str(inst), "--threads", "1", "--out", str(tmp_path / "b"))
+    run_cli("solve", str(inst), "--out", str(tmp_path / "a"))
+    run_cli("solve", str(inst), "--out", str(tmp_path / "b"))
 
     def algorithmic(path):  # all columns except the wall-clock ones
         with open(path) as fh:
@@ -157,6 +157,27 @@ def test_sweep_bad_vehicles_is_usage_error(tmp_path, capsys, vehicles):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("mmcrp sweep: error: argument --vehicles:")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--early-stop", "-1"), ("--time-limit", "-1"), ("--ip-time-limit", "-0.5"),
+    ("--time-limit", "nan"), ("--max-shares", "-5"), ("--max-variants", "-2"),
+    ("--early-stop", "1.5")])
+def test_solve_bad_limit_is_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", str(tmp_path / "x.json"), flag, value)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith(f"mmcrp solve: error: argument {flag}:")
+
+
+def test_solve_limits_accept_their_lower_ends():
+    args = cli.build_parser().parse_args(
+        ["solve", "x.json", "--early-stop", "0", "--time-limit", "0",
+         "--ip-time-limit", "0", "--max-shares", "-1", "--max-variants", "-1"])
+    assert cli._caps(args) == Caps(max_shares_per_trip=None,
+                                   max_variants_per_user=None)
+    assert (args.early_stop, args.time_limit, args.ip_time_limit) == (0, 0.0, 0.0)
 
 
 def test_sweep_monotone_and_zero_row(tmp_path):
