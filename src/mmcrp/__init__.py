@@ -26,7 +26,7 @@ from .instgen import (
     read_instance,
     write_instance,
 )
-from .milp import IpResult, LpSolution, MilpProblem, solve_ip, solve_lp, write_lp_file
+from .milp import IpResult, LpSolution, MilpProblem, solve_ip, solve_lp
 from .model import (
     ALL_MOTS,
     CAR,

@@ -341,56 +341,36 @@ def _reduced_graph(graph: TimeSpaceGraph, heuristic: str) -> Optional[TimeSpaceG
 def _price_iteration(pgraph: TimeSpaceGraph, duals: DualPrices, scheme: str,
                      depot_ids: list[int],
                      relax_counts: list[tuple[int, int]]) -> list[Candidate]:
+    """Price from each start depot in turn and pick the columns to add.
+
+    A start depot's candidates are its best routes to each end depot, in
+    end-depot order, that price above TOL_RC ('multiple': every positive
+    candidate of collect='all'). 'first' stops at the first start depot
+    with a candidate and returns that candidate alone, so later depots are
+    not priced; 'firstdep' keeps every candidate; 'best' keeps the one of
+    highest reduced saving, a later one replacing it only if higher by more
+    than 1e-12; 'multiple' keeps every candidate, sorted by reduced saving
+    (highest first), then start depot, end depot and variant ids.
+    """
     weights = edge_weights(pgraph, duals)
     n_edges = len(pgraph.edges)
     picked: list[Candidate] = []
-    if scheme == "first":
-        for d0 in depot_ids:
-            res = price(pgraph, duals, d0, collect="best", weights=weights)
-            relax_counts.append((res.edges_relaxed, n_edges))
-            hit = None
-            for d1 in depot_ids:
-                c = res.best_per_end.get(d1)
-                if c is not None and c.reduced_saving > TOL_RC:
-                    hit = c
-                    break
-            if hit is not None:
-                picked.append(hit)
-                break
-        return picked
-
-    results = []
     for d0 in depot_ids:
         res = price(pgraph, duals, d0,
                     collect="all" if scheme == "multiple" else "best",
                     weights=weights)
         relax_counts.append((res.edges_relaxed, n_edges))
-        results.append(res)
-
-    if scheme == "best":
-        best = None
-        for res in results:
-            for d1 in depot_ids:
-                c = res.best_per_end.get(d1)
-                if c is None or c.reduced_saving <= TOL_RC:
-                    continue
-                if best is None or c.reduced_saving > best.reduced_saving + 1e-12:
-                    best = c
-        if best is not None:
-            picked.append(best)
-    elif scheme == "firstdep":
-        for res in results:
-            for d1 in depot_ids:
-                c = res.best_per_end.get(d1)
-                if c is not None and c.reduced_saving > TOL_RC:
-                    picked.append(c)
-    elif scheme == "multiple":
-        for res in results:
-            picked.extend(res.candidates)
+        if scheme == "best":
+            for c in res.candidates:
+                if not picked or c.reduced_saving > picked[0].reduced_saving + 1e-12:
+                    picked = [c]
+            continue
+        picked.extend(res.candidates)
+        if scheme == "first" and picked:
+            return picked[:1]
+    if scheme == "multiple":
         picked.sort(key=lambda c: (-c.reduced_saving, c.start_depot,
                                    c.end_depot, c.variant_ids))
-    else:
-        raise ValueError(f"unknown scheme '{scheme}'")
     return picked
 
 

@@ -3,7 +3,11 @@
 The LP kernel is a two-phase revised simplex on bounded variables with a
 dense basis inverse, adequate for desk-scale problems (a few thousand rows
 and columns). Dantzig pricing with Bland's rule as an anti-cycling fallback
-after a long degenerate streak. One solver instance per thread; problems and
+after a long degenerate streak. The columns are laid out as [structural |
+one slack per <= row | one artificial per row]; artificials carry phase 1
+and are pinned at zero afterwards. Every basis change, in the primal loop,
+the dual-simplex repair of a warm start and the pivot-out of artificials
+after phase 1, goes through one routine, `_Simplex._pivot`. Problems and
 solutions are value objects.
 
 Tolerances shared across the package: feasibility 1e-7, reduced cost 1e-6,
@@ -27,6 +31,8 @@ TOL_INT = 1e-6
 _TOL_PRICE = 1e-9
 _TOL_PIVOT = 1e-10
 _REFACTOR_EVERY = 120
+_MAX_ITER = 200000
+_MAX_REPAIR_ITER = 20000
 
 LE = "<="
 EQ = "="
@@ -139,7 +145,6 @@ class _Simplex:
                 self.A[i, k] = 1.0
                 k += 1
         self.art_of_row = np.arange(n + n_slack, self.N)
-        self.art_cols = self.art_of_row.copy()
 
         self.basis = np.zeros(m, dtype=int)
         self.vstat = np.full(self.N, _AT_LB, dtype=np.int8)
@@ -158,19 +163,18 @@ class _Simplex:
         shift = self.n - state.n_cols
         if shift < 0:
             return "fail"
-        remap = lambda j: j if j < state.n_cols else j + shift
-        basis = np.array([remap(j) for j in state.basis], dtype=int)
-        if len(basis) != self.m or basis.max(initial=-1) >= self.N:
+        basis = np.where(state.basis < state.n_cols, state.basis,
+                         state.basis + shift)
+        vstat = np.insert(state.vstat, state.n_cols,
+                          np.full(shift, _AT_LB, dtype=np.int8))
+        if (len(basis) != self.m or len(vstat) != self.N
+                or basis.max(initial=-1) >= self.N):
             return "fail"
-        vstat = np.full(self.N, _AT_LB, dtype=np.int8)
-        for j_old in range(len(state.vstat)):
-            vstat[remap(j_old)] = state.vstat[j_old]
+        # basic artificials of redundant rows, pinned at zero; a unit
+        # coefficient keeps the basis matrix regular
         art_lo = self.N - self.m
-        for j in basis:
-            if j >= art_lo:
-                # basic artificial of a redundant row, pinned at zero; give its
-                # column a unit coefficient so the basis matrix stays regular
-                self.A[j - art_lo, j] = 1.0
+        arts = basis[basis >= art_lo]
+        self.A[arts - art_lo, arts] = 1.0
         self.basis, self.vstat = basis, vstat
         try:
             self._refactor()
@@ -179,72 +183,55 @@ class _Simplex:
         # clamp nonbasics onto (possibly changed) bounds, then check basics
         self._set_nonbasic_values()
         self._recompute_basics()
-        if not bool(np.all(np.abs(self.x[self.art_cols]) <= TOL_FEAS)):
+        if not bool(np.all(np.abs(self.x[self.art_of_row]) <= TOL_FEAS)):
             return "fail"
         xb = self.x[self.basis]
         ok = bool(np.all(xb >= self.lb[self.basis] - TOL_FEAS)
                   and np.all(xb <= self.ub[self.basis] + TOL_FEAS))
         return "ok" if ok else "repair"
 
-    def dual_repair(self, c: np.ndarray, max_iter: int = 20000) -> str:
+    def dual_repair(self) -> str:
         """Bounded dual simplex: restore primal feasibility after bound
         changes, starting from a dual-feasible (previously optimal) basis.
-        Returns 'feasible', 'infeasible', or 'fail' (caller solves cold)."""
-        it = 0
-        while True:
-            it += 1
-            if it > max_iter:
-                return "fail"
+        Returns 'ok', 'infeasible', or 'fail' (caller solves cold)."""
+        movable = (self.ub - self.lb) > _TOL_PIVOT
+        for _ in range(_MAX_REPAIR_ITER):
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
             above = xb - self.ub[self.basis]
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if viol[r] <= TOL_FEAS:
-                return "feasible"
+                return "ok"
             leaving = int(self.basis[r])
             exits_low = below[r] >= above[r]
             row = self.binv[r, :] @ self.A
-            y = c[self.basis] @ self.binv
-            d = c - y @ self.A
+            y = self.c[self.basis] @ self.binv
+            d = self.c - y @ self.A
             # x_B[r] must rise when below its lower bound, drop when above
-            # its upper bound; pick the entering column by the dual ratio test
-            best_j = -1
-            best_ratio = math.inf
-            for j in range(self.N):
-                if self.vstat[j] == _BASIC or (self.ub[j] - self.lb[j]) <= _TOL_PIVOT:
-                    continue
-                rj = row[j]
-                if abs(rj) <= 1e-9:
-                    continue
-                at_lb = self.vstat[j] == _AT_LB
-                if exits_low:
-                    # need delta x_Br > 0: raise an AT_LB var with rj < 0 or
-                    # lower an AT_UB var with rj > 0
-                    usable = (at_lb and rj < 0) or (not at_lb and rj > 0)
-                else:
-                    usable = (at_lb and rj > 0) or (not at_lb and rj < 0)
-                if not usable:
-                    continue
-                ratio = abs(d[j]) / abs(rj)
-                if ratio < best_ratio - 1e-12 or (ratio < best_ratio + 1e-12
-                                                  and (best_j < 0 or j < best_j)):
-                    best_j = j
-                    best_ratio = ratio
-            if best_j < 0:
+            # its upper bound: raise an AT_LB column or lower an AT_UB one
+            # whose row entry moves it that way. The dual ratio test takes
+            # the smallest |d_j / row_j|; a later column replaces the pick
+            # only if its ratio is smaller by more than 1e-12
+            toward = np.where(self.vstat == _AT_LB, row, -row)
+            usable = np.flatnonzero(
+                (self.vstat != _BASIC) & movable & (np.abs(row) > 1e-9)
+                & ((toward < 0) if exits_low else (toward > 0)))
+            if not len(usable):
                 return "infeasible"
+            ratios = np.abs(d[usable]) / np.abs(row[usable])
+            best_j, best_ratio = -1, math.inf
+            for j, ratio in zip(usable.tolist(), ratios.tolist()):
+                if ratio < best_ratio - 1e-12:
+                    best_j, best_ratio = j, ratio
             w = self.binv @ self.A[:, best_j]
-            piv = w[r]
-            if abs(piv) < _TOL_PIVOT:
+            if abs(w[r]) < _TOL_PIVOT:
                 return "fail"
             self.vstat[leaving] = _AT_LB if exits_low else _AT_UB
-            self.basis[r] = best_j
-            self.vstat[best_j] = _BASIC
-            rowv = self.binv[r, :] / piv
-            self.binv -= np.outer(w, rowv)
-            self.binv[r, :] = rowv
+            self._pivot(r, best_j, w)
             self._set_nonbasic_values()
             self._recompute_basics()
+        return "fail"
 
     def snapshot(self) -> SimplexState:
         return SimplexState(self.n, self.basis.copy(), self.vstat.copy())
@@ -253,6 +240,23 @@ class _Simplex:
 
     def _refactor(self):
         self.binv = np.linalg.inv(self.A[:, self.basis])
+
+    def _pivot(self, pos: int, j: int, w: np.ndarray) -> bool:
+        """Column j (w = binv @ A[:, j]) replaces basis[pos]; the caller has
+        already given the leaving variable its nonbasic status. Updates the
+        inverse in place, or refactors and recomputes the basics when the
+        pivot is too small to divide by (then returns False)."""
+        self.basis[pos] = j
+        self.vstat[j] = _BASIC
+        piv = w[pos]
+        if abs(piv) < _TOL_PIVOT:
+            self._refactor()
+            self._recompute_basics()
+            return False
+        row = self.binv[pos, :] / piv
+        self.binv -= np.outer(w, row)
+        self.binv[pos, :] = row
+        return True
 
     def _set_nonbasic_values(self):
         nb = self.vstat != _BASIC
@@ -273,30 +277,19 @@ class _Simplex:
         phase-1 run is required."""
         self.vstat[:] = _AT_LB
         self._set_nonbasic_values()
-        xfull = self.x.copy()
-        xfull[self.art_cols] = 0.0
-        for i in range(self.m):
-            if self.slack_of_row[i] >= 0:
-                xfull[self.slack_of_row[i]] = 0.0
-        resid = self.b - self.A @ xfull
-        need_art = False
-        for i in range(self.m):
-            s = self.slack_of_row[i]
-            if s >= 0 and resid[i] >= 0:
-                self.basis[i] = s
-                self.vstat[s] = _BASIC
-            else:
-                a = self.art_of_row[i]
-                self.A[i, a] = 1.0 if resid[i] >= 0 else -1.0
-                self.basis[i] = a
-                self.vstat[a] = _BASIC
-                need_art = True
+        # every slack and artificial sits at 0 here
+        resid = self.b - self.A @ self.x
+        use_slack = (self.slack_of_row >= 0) & (resid >= 0)
+        self.basis[:] = np.where(use_slack, self.slack_of_row, self.art_of_row)
+        rows = np.flatnonzero(~use_slack)
+        self.A[rows, self.art_of_row[rows]] = np.where(resid[rows] >= 0, 1.0, -1.0)
+        self.vstat[self.basis] = _BASIC
         self._refactor()
         self._set_nonbasic_values()
         self._recompute_basics()
-        return need_art
+        return len(rows) > 0
 
-    def optimize(self, c: np.ndarray, max_iter: int = 200000) -> str:
+    def optimize(self, c: np.ndarray) -> str:
         m = self.m
         fixed = (self.ub - self.lb) <= _TOL_PIVOT
         abs_a = np.abs(self.A)
@@ -307,7 +300,7 @@ class _Simplex:
         tol_boost = 1.0
         while True:
             self.iterations += 1
-            if self.iterations > max_iter:
+            if self.iterations > _MAX_ITER:
                 raise MilpError("simplex iteration limit exceeded")
             y = c[self.basis] @ self.binv
             d = c - y @ self.A
@@ -365,17 +358,8 @@ class _Simplex:
             self.vstat[leaving] = _AT_LB if step_dir[leave_pos] < 0 else _AT_UB
             self.x[leaving] = (self.lb[leaving] if step_dir[leave_pos] < 0
                                else self.ub[leaving])
-            self.basis[leave_pos] = j
-            self.vstat[j] = _BASIC
-
-            piv = w[leave_pos]
-            if abs(piv) < _TOL_PIVOT:
-                self._refactor()
-                self._recompute_basics()
+            if not self._pivot(leave_pos, j, w):
                 continue
-            row = self.binv[leave_pos, :] / piv
-            self.binv -= np.outer(w, row)
-            self.binv[leave_pos, :] = row
 
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
@@ -401,7 +385,7 @@ class _Simplex:
 
     def phase1(self) -> str:
         c1 = np.zeros(self.N)
-        c1[self.art_cols] = -1.0
+        c1[self.art_of_row] = -1.0
         status = self.optimize(c1)
         if status != "optimal":          # phase-1 objective is bounded by 0
             raise MilpError("phase 1 reported unbounded; problem is malformed")
@@ -409,63 +393,58 @@ class _Simplex:
         if infeas > TOL_FEAS * max(1.0, np.abs(self.b).max(initial=0.0)):
             return "infeasible"
         self._pivot_out_artificials()
-        self.ub[self.art_cols] = 0.0
-        self.lb[self.art_cols] = 0.0
         return "feasible"
 
     def _pivot_out_artificials(self):
+        art_lo = self.N - self.m
         for pos in range(self.m):
             j = self.basis[pos]
-            if j not in self.art_cols:
+            if j < art_lo:
                 continue
             row = self.binv[pos, :] @ self.A
-            pick = -1
-            for jj in range(self.n + (self.N - self.n - self.m)):
-                if self.vstat[jj] != _BASIC and abs(row[jj]) > 1e-8:
-                    pick = jj
-                    break
-            if pick < 0:
+            pick = np.flatnonzero((self.vstat[:art_lo] != _BASIC)
+                                  & (np.abs(row[:art_lo]) > 1e-8))
+            if not len(pick):
                 continue                  # redundant row: artificial stays at 0
-            w = self.binv @ self.A[:, pick]
-            piv = w[pos]
             self.vstat[j] = _AT_LB
             self.x[j] = 0.0
-            self.basis[pos] = pick
-            self.vstat[pick] = _BASIC
-            rowv = self.binv[pos, :] / piv
-            self.binv -= np.outer(w, rowv)
-            self.binv[pos, :] = rowv
+            self._pivot(pos, int(pick[0]), self.binv @ self.A[:, pick[0]])
         self._recompute_basics()
+
+
+def _no_optimum(status: str, problem: MilpProblem, iterations: int) -> LpSolution:
+    return LpSolution(status, math.nan if status == "infeasible" else math.inf,
+                      np.zeros(problem.n_cols), np.zeros(problem.n_rows),
+                      iterations)
 
 
 def solve_lp(problem: MilpProblem, state: Optional[SimplexState] = None,
              bounds: Optional[dict[int, tuple[float, float]]] = None) -> LpSolution:
     """Solve the LP relaxation; on 'optimal' the solution carries row duals
     (>= 0 for <= rows in this max form, free for = rows) and a warm-start
-    snapshot for subsequent calls with extra columns."""
-    sx = _Simplex(problem, bounds)
-    loaded = sx.load_state(state) if state is not None else "fail"
-    if loaded != "fail":
-        sx.ub[sx.art_cols] = 0.0
-        sx.lb[sx.art_cols] = 0.0
-    if loaded == "repair":
-        repaired = sx.dual_repair(sx.c)
-        if repaired == "infeasible":
-            return LpSolution("infeasible", math.nan, np.zeros(problem.n_cols),
-                              np.zeros(problem.n_rows), sx.iterations)
-        if repaired == "fail":
-            loaded = "fail"
-    if loaded == "fail":
+    snapshot for subsequent calls with extra columns.
+
+    With a state, a warm attempt loads its basis and, after bound changes,
+    repairs it by dual simplex; if that basis is unusable, a cold attempt
+    on a fresh model follows (the warm one has changed A and the basis)."""
+    for warm in ((True, False) if state is not None else (False,)):
         sx = _Simplex(problem, bounds)
-        if sx.start_cold() and sx.phase1() == "infeasible":
-            return LpSolution("infeasible", math.nan, np.zeros(problem.n_cols),
-                              np.zeros(problem.n_rows), sx.iterations)
-        sx.ub[sx.art_cols] = 0.0
-        sx.lb[sx.art_cols] = 0.0
-    status = sx.optimize(sx.c)
-    if status == "unbounded":
-        return LpSolution("unbounded", math.inf, np.zeros(problem.n_cols),
-                          np.zeros(problem.n_rows), sx.iterations)
+        start = sx.load_state(state) if warm else "cold"
+        if start == "fail":
+            continue
+        if start == "cold" and sx.start_cold() and sx.phase1() == "infeasible":
+            return _no_optimum("infeasible", problem, sx.iterations)
+        # artificials stay at zero from here on
+        sx.lb[sx.art_of_row] = sx.ub[sx.art_of_row] = 0.0
+        if start == "repair":
+            start = sx.dual_repair()
+            if start == "infeasible":
+                return _no_optimum("infeasible", problem, sx.iterations)
+            if start == "fail":
+                continue
+        break
+    if sx.optimize(sx.c) == "unbounded":
+        return _no_optimum("unbounded", problem, sx.iterations)
     sx._refactor()
     sx._recompute_basics()
     x = sx.x[:problem.n_cols].copy()
@@ -543,33 +522,3 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
     )
     return IpResult("time_limit" if timed_out else "optimal", best_obj, best_x,
                     bound, nodes, gap)
-
-
-def write_lp_file(problem: MilpProblem, path, name: str = "exported",
-                  row_names: Optional[Sequence[str]] = None,
-                  col_names: Optional[Sequence[str]] = None):
-    """Text export (CPLEX LP dialect, MAX sense) for external cross-checks."""
-    rn = row_names or [f"r{i}" for i in range(problem.n_rows)]
-    cn = col_names or [f"x{j}" for j in range(problem.n_cols)]
-    rows_terms: list[list[str]] = [[] for _ in range(problem.n_rows)]
-    for j, entries in enumerate(problem.col_entries):
-        for r, v in entries:
-            rows_terms[r].append(f"{v:+.12g} {cn[j]}")
-    with open(path, "w") as fh:
-        fh.write(f"\\ {name}\nMaximize\n obj:")
-        for j, obj in enumerate(problem.objective):
-            fh.write(f" {obj:+.12g} {cn[j]}")
-        fh.write("\nSubject To\n")
-        for i, (sense, rhs) in enumerate(problem.rows):
-            op = "<=" if sense == LE else "="
-            fh.write(f" {rn[i]}: {' '.join(rows_terms[i]) or '0 ' + cn[0]} {op} {rhs:.12g}\n")
-        fh.write("Bounds\n")
-        for j in range(problem.n_cols):
-            if math.isinf(problem.upper[j]):
-                fh.write(f" 0 <= {cn[j]}\n")
-            else:
-                fh.write(f" 0 <= {cn[j]} <= {problem.upper[j]:.12g}\n")
-        general = [cn[j] for j in range(problem.n_cols) if problem.integer[j]]
-        if general:
-            fh.write("General\n " + " ".join(general) + "\n")
-        fh.write("End\n")

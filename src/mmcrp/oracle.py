@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from .model import Instance
 from .ridegraph import TimeSpaceGraph
 
+MAX_RIDE_EDGES = 25
+MAX_FLEET = 3
+
 
 class OracleSizeError(ValueError):
     pass
@@ -46,15 +49,14 @@ def _chains_from(graph: TimeSpaceGraph, depot: int) -> list[_Chain]:
     return chains
 
 
-def brute_force(instance: Instance, graph: TimeSpaceGraph,
-                max_ride_edges: int = 25, max_fleet: int = 3) -> float:
+def brute_force(instance: Instance, graph: TimeSpaceGraph) -> float:
     """Optimal total saving by exhaustive vehicle-to-chain assignment."""
     n_rides = len(graph.ride_edges)
     fleet = instance.fleet_size
-    if n_rides > max_ride_edges or fleet > max_fleet:
+    if n_rides > MAX_RIDE_EDGES or fleet > MAX_FLEET:
         raise OracleSizeError(
             f"instance too large for the oracle: {n_rides} ride edges "
-            f"(max {max_ride_edges}), fleet {fleet} (max {max_fleet})"
+            f"(max {MAX_RIDE_EDGES}), fleet {fleet} (max {MAX_FLEET})"
         )
 
     chains_by_depot = {d: _chains_from(graph, d) for d in sorted(graph.source)}

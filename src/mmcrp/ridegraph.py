@@ -71,9 +71,9 @@ class EnumStats:
 
     feasibility_checks counts the candidate (driver leg, rider leg) pairs:
     for every leg of every driver, each leg of every other user, depot legs
-    included, and 0 with shares disabled. Pairs dismissed without a timeline
-    simulation, by the time-window bound or because the rider leg has a depot
-    end, still count, so the figure depends on the instance alone.
+    included. Pairs dismissed without a timeline simulation, by the
+    time-window bound or because the rider leg has a depot end, still count,
+    so the figure depends on the instance alone.
     """
 
     n_variants: int = 0
@@ -198,7 +198,6 @@ def _rider_legs(instance: Instance,
 
 
 def enumerate_variants(instance: Instance, caps: Caps = None,
-                       shares_enabled: bool = True,
                        joint_k: bool = False) -> VariantSet:
     """Enumerate, per user, the share-free base trip plus every capped
     combination of feasible one-rider-per-leg insertions.
@@ -230,7 +229,7 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
                     for a, b in legs_of[u.user_id]]
         for u in instance.users}
     n_legs = sum(len(legs_of[u.user_id]) for u in instance.users)
-    riders = _rider_legs(instance, legs_of, fallback_of) if shares_enabled else []
+    riders = _rider_legs(instance, legs_of, fallback_of)
     ready = [r.ready_s for r in riders]
 
     for driver in instance.users:
@@ -244,24 +243,23 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
                               du.earliest_departure_s + tt,
                               dv.latest_arrival_s - tt if first else None)
             shares: list[_LegOption] = []
-            if shares_enabled:
-                stats.feasibility_checks += n_legs - len(legs)
-                fits_by = bisect_right(ready, dv.latest_arrival_s)
-                for _, rider, r_idx, ru, rv, tt_r, r_fallback, r_car in riders[:fits_by]:
-                    if (rider.user_id == driver.user_id
-                            or du.earliest_departure_s + tt_r > rv.latest_arrival_s):
-                        continue
-                    arrive = _share_arrival(du, dv, ru, rv, tt_r, mots)
-                    if arrive is None:
-                        continue
-                    sav = leg_saving_share(
-                        driver, du, dv, rider, ru, rv, mots, costs,
-                        joint_k=joint_k,
-                        leg_costs=(fallback[leg_idx], r_fallback, r_car))
-                    depart = (_share_departure(du, dv, ru, rv, tt_r, mots)
-                              if first else None)
-                    shares.append(_LegOption(sav, arrive, depart, rider.user_id,
-                                             r_idx, ru, rv))
+            stats.feasibility_checks += n_legs - len(legs)
+            fits_by = bisect_right(ready, dv.latest_arrival_s)
+            for _, rider, r_idx, ru, rv, tt_r, r_fallback, r_car in riders[:fits_by]:
+                if (rider.user_id == driver.user_id
+                        or du.earliest_departure_s + tt_r > rv.latest_arrival_s):
+                    continue
+                arrive = _share_arrival(du, dv, ru, rv, tt_r, mots)
+                if arrive is None:
+                    continue
+                sav = leg_saving_share(
+                    driver, du, dv, rider, ru, rv, mots, costs,
+                    joint_k=joint_k,
+                    leg_costs=(fallback[leg_idx], r_fallback, r_car))
+                depart = (_share_departure(du, dv, ru, rv, tt_r, mots)
+                          if first else None)
+                shares.append(_LegOption(sav, arrive, depart, rider.user_id,
+                                         r_idx, ru, rv))
             shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
             options.append([base] + shares)
 
@@ -361,8 +359,8 @@ class TimeSpaceGraph:
     Nodes are sorted by time, then depot, and every edge strictly increases
     time, so visiting the nodes in order and each node's out_edges in edge-id
     order relaxes every edge after all edges into its tail; topo_edges is
-    that order spelled out. Per edge, indexed by edge id: tail and head
-    (node indices), saving (the ride saving, 0 for waiting edges). task_ids
+    that order spelled out. Per edge, indexed by edge id: head (node
+    index) and saving (the ride saving, 0 for waiting edges). task_ids
     lists every task some ride edge covers, sorted; the cover pairs
     (cover_edge[k], cover_task[k]) say that edge cover_edge[k] covers task
     task_ids[cover_task[k]], listed edge by edge in covered_tasks order.
@@ -377,7 +375,6 @@ class TimeSpaceGraph:
     variants: dict[int, TripVariant]
     sigma_s: int
     tau_s: int
-    tail: np.ndarray
     head: np.ndarray
     saving: np.ndarray
     task_ids: list[int]
@@ -438,7 +435,6 @@ def _assemble(depot_ids: Sequence[int], sigma: int, tau: int,
         variants=variants,
         sigma_s=sigma,
         tau_s=tau,
-        tail=np.array([e.tail for e in edges], dtype=np.int64),
         head=np.array([e.head for e in edges], dtype=np.int64),
         saving=np.array([e.saving for e in edges], dtype=float),
         task_ids=task_ids,

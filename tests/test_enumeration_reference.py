@@ -126,8 +126,7 @@ def ref_make_variant(instance, driver, legs, combo, variant_id):
     )
 
 
-def reference_enumerate_variants(instance, caps=None, shares_enabled=True,
-                                 joint_k=False):
+def reference_enumerate_variants(instance, caps=None, joint_k=False):
     caps = caps or Caps()
     stats = EnumStats()
     truncated = []
@@ -143,19 +142,18 @@ def reference_enumerate_variants(instance, caps=None, shares_enabled=True,
             base = RefOption(leg_saving_plain(driver, du, dv,
                                               instance.mots, instance.costs))
             shares = []
-            if shares_enabled:
-                for rider in instance.users:
-                    if rider.user_id == driver.user_id:
+            for rider in instance.users:
+                if rider.user_id == driver.user_id:
+                    continue
+                for r_idx, (ru, rv) in enumerate(legs_of[rider.user_id]):
+                    stats.feasibility_checks += 1
+                    if not ref_feasible_share(instance, driver, leg_idx,
+                                              rider, r_idx):
                         continue
-                    for r_idx, (ru, rv) in enumerate(legs_of[rider.user_id]):
-                        stats.feasibility_checks += 1
-                        if not ref_feasible_share(instance, driver, leg_idx,
-                                                  rider, r_idx):
-                            continue
-                        sav = leg_saving_share(driver, du, dv, rider, ru, rv,
-                                               instance.mots, instance.costs,
-                                               joint_k=joint_k)
-                        shares.append(RefOption(sav, rider.user_id, r_idx, ru, rv))
+                    sav = leg_saving_share(driver, du, dv, rider, ru, rv,
+                                           instance.mots, instance.costs,
+                                           joint_k=joint_k)
+                    shares.append(RefOption(sav, rider.user_id, r_idx, ru, rv))
             shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
             options.append([base] + shares)
 
@@ -195,10 +193,10 @@ INSTANCES = ([(5, s) for s in range(15)] + [(12, s) for s in range(15)]
 
 
 def configs(n_users):
-    """(caps, shares_enabled, joint_k) settings checked on an instance."""
-    out = [(Caps(), True, False), (CAP20, True, True), (Caps(), False, False)]
+    """(caps, joint_k) settings checked on an instance."""
+    out = [(Caps(), False), (CAP20, True)]
     if n_users <= 12:
-        out += [(UNCAPPED, True, False), (Caps(), True, True)]
+        out += [(UNCAPPED, False), (Caps(), True)]
     if n_users >= 80:
         out = out[:1]
     return out
@@ -214,12 +212,9 @@ def assert_same(got: VariantSet, want: VariantSet):
 @pytest.mark.parametrize("n_users,seed", INSTANCES)
 def test_enumeration_equals_full_scan(n_users, seed):
     inst = generate(GenParams(n_users=n_users, seed=seed))
-    for caps, shares_enabled, joint_k in configs(n_users):
-        assert_same(
-            enumerate_variants(inst, caps, shares_enabled=shares_enabled,
-                               joint_k=joint_k),
-            reference_enumerate_variants(inst, caps, shares_enabled=shares_enabled,
-                                         joint_k=joint_k))
+    for caps, joint_k in configs(n_users):
+        assert_same(enumerate_variants(inst, caps, joint_k=joint_k),
+                    reference_enumerate_variants(inst, caps, joint_k=joint_k))
 
 
 def test_reference_counts_every_candidate_pair():
@@ -228,7 +223,6 @@ def test_reference_counts_every_candidate_pair():
     pairs = sum(n * (sum(n_legs) - n) for n in n_legs)
     assert enumerate_variants(inst).stats.feasibility_checks == pairs
     assert reference_enumerate_variants(inst).stats.feasibility_checks == pairs
-    assert enumerate_variants(inst, shares_enabled=False).stats.feasibility_checks == 0
 
 
 def tight_instance(seed):

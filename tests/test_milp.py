@@ -12,7 +12,6 @@ from mmcrp.milp import (
     MilpProblem,
     solve_ip,
     solve_lp,
-    write_lp_file,
 )
 
 
@@ -217,14 +216,3 @@ def test_row_validation():
     with pytest.raises(MilpError):
         p.add_column(1.0, [(5, 1.0)])
 
-
-def test_lp_file_export(tmp_path):
-    p = MilpProblem([(LE, 4.0), (EQ, 1.0)])
-    p.add_column(3.0, [(0, 2.0), (1, 1.0)], upper=1.0, integer=True)
-    p.add_column(2.0, [(0, 1.0), (1, 1.0)])
-    out = tmp_path / "model.lp"
-    write_lp_file(p, out)
-    text = out.read_text()
-    assert "Maximize" in text and "Subject To" in text
-    assert "<= 4" in text and "= 1" in text
-    assert "General" in text and "End" in text
