@@ -2,9 +2,9 @@
 baseline comparisons.
 
 Exit codes: 0 success (including flagged partial results on a time limit),
-1 I/O error, 2 usage error. Set MMCRP_LOG to error|info|debug for progress
-output. Results are written as JSON plus CSV; plotting is left to external
-tools."""
+1 I/O error or solver failure, 2 usage error. Set MMCRP_LOG to
+error|info|debug for progress output. Results are written as JSON plus CSV;
+plotting is left to external tools."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import colgen, edgeform
+from . import colgen, edgeform, milp
 from .instgen import GenParams, GenerationError, InstanceFormatError, \
     generate, read_instance, write_instance
 from .model import Instance
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except edgeform.EdgeModelSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except milp.MilpError as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main():

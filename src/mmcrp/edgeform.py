@@ -8,8 +8,8 @@ vehicles must be able to sit on the same waiting edge, so a blanket binary
 domain would under-count idle flow.
 
 This model exists as the exact desk-scale baseline; the graph blows up
-quickly with ride-sharing, so a size guard refuses oversized inputs instead
-of thrashing."""
+quickly with ride-sharing, so a size guard refuses models of more than
+`max_dense_cells` (6,000,000) rows times columns instead of thrashing."""
 
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ def build_edge_model(graph: TimeSpaceGraph, instance: Instance,
     if n_rows * n_cols > max_dense_cells:
         raise EdgeModelSizeError(
             f"edge model would need {n_rows} rows x {n_cols} columns; "
-            f"beyond the dense guard ({max_dense_cells} cells). Use the "
+            f"beyond the size guard ({max_dense_cells} cells). Use the "
             f"column-generation solver for instances of this size."
         )
 

@@ -1,14 +1,19 @@
 """Embedded max-form LP solver with duals plus depth-first branch-and-bound.
 
-The LP kernel is a two-phase revised simplex on bounded variables with a
-dense basis inverse, adequate for desk-scale problems (a few thousand rows
-and columns). Dantzig pricing with Bland's rule as an anti-cycling fallback
-after a long degenerate streak. The columns are laid out as [structural |
-one slack per <= row | one artificial per row]; artificials carry phase 1
-and are pinned at zero afterwards. Every basis change, in the primal loop,
-the dual-simplex repair of a warm start and the pivot-out of artificials
-after phase 1, goes through one routine, `_Simplex._pivot`. Problems and
-solutions are value objects.
+The LP kernel is a two-phase revised simplex on bounded variables, adequate
+for desk-scale problems (a few thousand rows and columns). It keeps the
+constraint matrix as column-ordered nonzeros (row index, value, column id and
+column pointers; entries that repeat a row within a column are summed, as
+`MilpProblem.dense` sums them) and the basis inverse as a dense m x m array.
+Pricing is one `np.bincount` over the nonzeros, an entering column is
+`binv[:, rows] @ values`, and a pivot updates only the rows of the inverse
+where that column is nonzero. Dantzig pricing with Bland's rule as an
+anti-cycling fallback after a long degenerate streak. The columns are laid
+out as [structural | one slack per <= row | one artificial per row];
+artificials carry phase 1 and are pinned at zero afterwards. Every basis
+change, in the primal loop, the dual-simplex repair of a warm start and the
+pivot-out of artificials after phase 1, goes through one routine,
+`_Simplex._pivot`. Problems and solutions are value objects.
 
 Tolerances shared across the package: feasibility 1e-7, reduced cost 1e-6,
 integrality 1e-6. The simplex itself prices to 1e-9 so that callers checking
@@ -89,11 +94,18 @@ class MilpProblem:
 
 @dataclass
 class SimplexState:
-    """Opaque warm-start snapshot (basis + variable statuses)."""
+    """Opaque warm-start snapshot: basis, variable statuses and, when it can
+    be reused, the basis inverse.
+
+    binv is shared, not copied (branch-and-bound children share their
+    parent's); `_Simplex.load_state` copies it before pivoting. It is None
+    when a basic artificial had coefficient -1: a loaded basis gives its
+    artificials +1, so that basis matrix differs and is refactored."""
 
     n_cols: int
     basis: np.ndarray
     vstat: np.ndarray
+    binv: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -117,16 +129,45 @@ class IpResult:
 
 
 class _Simplex:
-    """Bounded-variable primal simplex over [structural | slack | artificial]."""
+    """Bounded-variable primal simplex over [structural | slack | artificial].
+
+    The constraint matrix is held as column-ordered nonzeros: `row`, `val`
+    and `col` per entry, and `ptr`, where column j's entries are
+    ptr[j]:ptr[j + 1], sorted by row. Entries that repeat a row within a
+    structural column are summed in entry order, which is what
+    `MilpProblem.dense` does, so every product and the basis matrix see the
+    same coefficients as the dense matrix. A slack has one entry 1.0; an
+    artificial has one entry whose value, 0.0 until then, is set to +1 or -1
+    when it enters a starting basis (`art_coef` views those m values)."""
 
     def __init__(self, problem: MilpProblem,
                  bounds: Optional[dict[int, tuple[float, float]]] = None):
         m, n = problem.n_rows, problem.n_cols
         self.m, self.n = m, n
-        n_slack = sum(1 for s, _ in problem.rows if s == LE)
+        slack_rows = np.array([i for i, (s, _) in enumerate(problem.rows)
+                               if s == LE], dtype=int)
+        n_slack = len(slack_rows)
         self.N = n + n_slack + m      # one artificial slot per row
-        self.A = np.zeros((m, self.N))
-        self.A[:, :n] = problem.dense()
+
+        flat = np.array([rv for entries in problem.col_entries for rv in entries],
+                        dtype=float).reshape(-1, 2)
+        col = np.repeat(np.arange(n), [len(e) for e in problem.col_entries])
+        # one entry per (column, row) in sorted order, repeats summed
+        key, slot = np.unique(col * m + flat[:, 0].astype(int),
+                              return_inverse=True)
+        col, row = np.divmod(key, m)
+        self.slack_of_row = np.full(m, -1, dtype=int)
+        self.slack_of_row[slack_rows] = np.arange(n, n + n_slack)
+        self.art_of_row = np.arange(n + n_slack, self.N)
+        self.row = np.concatenate([row, slack_rows, np.arange(m)])
+        self.col = np.concatenate([col, self.slack_of_row[slack_rows],
+                                   self.art_of_row])
+        self.val = np.concatenate([np.bincount(slot, flat[:, 1], len(key)),
+                                   np.ones(n_slack), np.zeros(m)])
+        self.ptr = np.zeros(self.N + 1, dtype=int)
+        self.ptr[1:] = np.cumsum(np.bincount(self.col, minlength=self.N))
+        self.art_coef = self.val[len(self.val) - m:]
+
         self.b = np.array([rhs for _, rhs in problem.rows], dtype=float)
         self.c = np.zeros(self.N)
         self.c[:n] = problem.objective
@@ -136,15 +177,6 @@ class _Simplex:
         if bounds:
             for j, (lo, hi) in bounds.items():
                 self.lb[j], self.ub[j] = lo, hi
-
-        self.slack_of_row = np.full(m, -1, dtype=int)
-        k = n
-        for i, (sense, _) in enumerate(problem.rows):
-            if sense == LE:
-                self.slack_of_row[i] = k
-                self.A[i, k] = 1.0
-                k += 1
-        self.art_of_row = np.arange(n + n_slack, self.N)
 
         self.basis = np.zeros(m, dtype=int)
         self.vstat = np.full(self.N, _AT_LB, dtype=np.int8)
@@ -173,13 +205,16 @@ class _Simplex:
         # basic artificials of redundant rows, pinned at zero; a unit
         # coefficient keeps the basis matrix regular
         art_lo = self.N - self.m
-        arts = basis[basis >= art_lo]
-        self.A[arts - art_lo, arts] = 1.0
+        self.art_coef[basis[basis >= art_lo] - art_lo] = 1.0
         self.basis, self.vstat = basis, vstat
-        try:
-            self._refactor()
-        except np.linalg.LinAlgError:
-            return "fail"
+        if state.binv is not None:
+            # appended columns are never basic: the basis matrix is unchanged
+            self.binv = state.binv.copy()
+        else:
+            try:
+                self._refactor()
+            except np.linalg.LinAlgError:
+                return "fail"
         # clamp nonbasics onto (possibly changed) bounds, then check basics
         self._set_nonbasic_values()
         self._recompute_basics()
@@ -205,9 +240,9 @@ class _Simplex:
                 return "ok"
             leaving = int(self.basis[r])
             exits_low = below[r] >= above[r]
-            row = self.binv[r, :] @ self.A
+            row = self._y_times_a(self.binv[r, :])
             y = self.c[self.basis] @ self.binv
-            d = self.c - y @ self.A
+            d = self.c - self._y_times_a(y)
             # x_B[r] must rise when below its lower bound, drop when above
             # its upper bound: raise an AT_LB column or lower an AT_UB one
             # whose row entry moves it that way. The dual ratio test takes
@@ -224,7 +259,7 @@ class _Simplex:
             for j, ratio in zip(usable.tolist(), ratios.tolist()):
                 if ratio < best_ratio - 1e-12:
                     best_j, best_ratio = j, ratio
-            w = self.binv @ self.A[:, best_j]
+            w = self._ftran(best_j)
             if abs(w[r]) < _TOL_PIVOT:
                 return "fail"
             self.vstat[leaving] = _AT_LB if exits_low else _AT_UB
@@ -234,18 +269,40 @@ class _Simplex:
         return "fail"
 
     def snapshot(self) -> SimplexState:
-        return SimplexState(self.n, self.basis.copy(), self.vstat.copy())
+        art_lo = self.N - self.m
+        arts = self.basis[self.basis >= art_lo] - art_lo
+        unit = bool(np.all(self.art_coef[arts] == 1.0))
+        return SimplexState(self.n, self.basis.copy(), self.vstat.copy(),
+                            self.binv if unit else None)
 
     # -- linear algebra ------------------------------------------------------
 
+    def _y_times_a(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.col, y[self.row] * self.val, minlength=self.N)
+
+    def _a_times_x(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, self.val * x[self.col], minlength=self.m)
+
+    def _ftran(self, j: int) -> np.ndarray:
+        """binv @ A[:, j]."""
+        s = slice(self.ptr[j], self.ptr[j + 1])
+        return self.binv[:, self.row[s]] @ self.val[s]
+
     def _refactor(self):
-        self.binv = np.linalg.inv(self.A[:, self.basis])
+        pos = np.full(self.N, -1)
+        pos[self.basis] = np.arange(self.m)
+        at = pos[self.col]
+        basic = at >= 0
+        bmat = np.zeros((self.m, self.m))
+        bmat[self.row[basic], at[basic]] = self.val[basic]
+        self.binv = np.linalg.inv(bmat)
 
     def _pivot(self, pos: int, j: int, w: np.ndarray) -> bool:
         """Column j (w = binv @ A[:, j]) replaces basis[pos]; the caller has
         already given the leaving variable its nonbasic status. Updates the
-        inverse in place, or refactors and recomputes the basics when the
-        pivot is too small to divide by (then returns False)."""
+        inverse in place on the rows where w is nonzero, or refactors and
+        recomputes the basics when the pivot is too small to divide by (then
+        returns False)."""
         self.basis[pos] = j
         self.vstat[j] = _BASIC
         piv = w[pos]
@@ -254,7 +311,8 @@ class _Simplex:
             self._recompute_basics()
             return False
         row = self.binv[pos, :] / piv
-        self.binv -= np.outer(w, row)
+        nz = np.flatnonzero(w)
+        self.binv[nz] -= np.outer(w[nz], row)
         self.binv[pos, :] = row
         return True
 
@@ -267,8 +325,7 @@ class _Simplex:
     def _recompute_basics(self):
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
-        resid = self.b - self.A @ xfull
-        self.x[self.basis] = self.binv @ resid
+        self.x[self.basis] = self.binv @ (self.b - self._a_times_x(xfull))
 
     # -- core loop -------------------------------------------------------------
 
@@ -278,11 +335,11 @@ class _Simplex:
         self.vstat[:] = _AT_LB
         self._set_nonbasic_values()
         # every slack and artificial sits at 0 here
-        resid = self.b - self.A @ self.x
+        resid = self.b - self._a_times_x(self.x)
         use_slack = (self.slack_of_row >= 0) & (resid >= 0)
         self.basis[:] = np.where(use_slack, self.slack_of_row, self.art_of_row)
         rows = np.flatnonzero(~use_slack)
-        self.A[rows, self.art_of_row[rows]] = np.where(resid[rows] >= 0, 1.0, -1.0)
+        self.art_coef[rows] = np.where(resid[rows] >= 0, 1.0, -1.0)
         self.vstat[self.basis] = _BASIC
         self._refactor()
         self._set_nonbasic_values()
@@ -292,7 +349,6 @@ class _Simplex:
     def optimize(self, c: np.ndarray) -> str:
         m = self.m
         fixed = (self.ub - self.lb) <= _TOL_PIVOT
-        abs_a = np.abs(self.A)
         abs_c = np.abs(c)
         degen_streak = 0
         bland = False
@@ -303,10 +359,12 @@ class _Simplex:
             if self.iterations > _MAX_ITER:
                 raise MilpError("simplex iteration limit exceeded")
             y = c[self.basis] @ self.binv
-            d = c - y @ self.A
+            ya = y[self.row] * self.val
+            d = c - np.bincount(self.col, ya, minlength=self.N)
             # entering tolerance scales with each column's own magnitude:
             # reduced costs of big-coefficient columns carry big float noise
-            tol = tol_boost * (_TOL_PRICE + 1e-12 * (abs_c + np.abs(y) @ abs_a))
+            tol = tol_boost * (_TOL_PRICE + 1e-12 * (
+                abs_c + np.bincount(self.col, np.abs(ya), minlength=self.N)))
             nb_lb = (self.vstat == _AT_LB) & ~fixed
             nb_ub = (self.vstat == _AT_UB) & ~fixed
             score = np.where(nb_lb, d, np.where(nb_ub, -d, -np.inf))
@@ -319,7 +377,7 @@ class _Simplex:
                 j = int(np.argmax(score - tol))
             sigma = 1.0 if self.vstat[j] == _AT_LB else -1.0
 
-            w = self.binv @ self.A[:, j]
+            w = self._ftran(j)
             step_dir = -sigma * w          # movement of basics per unit t
             xb = self.x[self.basis]
             lo = self.lb[self.basis]
@@ -401,14 +459,14 @@ class _Simplex:
             j = self.basis[pos]
             if j < art_lo:
                 continue
-            row = self.binv[pos, :] @ self.A
+            row = self._y_times_a(self.binv[pos, :])
             pick = np.flatnonzero((self.vstat[:art_lo] != _BASIC)
                                   & (np.abs(row[:art_lo]) > 1e-8))
             if not len(pick):
                 continue                  # redundant row: artificial stays at 0
             self.vstat[j] = _AT_LB
             self.x[j] = 0.0
-            self._pivot(pos, int(pick[0]), self.binv @ self.A[:, pick[0]])
+            self._pivot(pos, int(pick[0]), self._ftran(int(pick[0])))
         self._recompute_basics()
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mmcrp import cli, colgen
+from mmcrp import cli, colgen, milp
 from mmcrp.cli import main, split_fleet
 from mmcrp.instgen import read_instance
 from mmcrp.ridegraph import Caps, build_graph, dump_edges, enumerate_variants
@@ -148,6 +148,20 @@ def test_oversized_edge_model_is_usage_error(tmp_path, capsys):
     assert "1566 rows x 13436 columns" in err
     assert "column-generation" in err
     assert not (tmp_path / "E_80_0.result.json").exists()
+
+
+def test_solver_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    run_cli("gen", "--users", "4", "--seed", "4", "--out-dir", str(tmp_path))
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise milp.MilpError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(colgen, "run", fail)
+    assert run_cli("solve", str(tmp_path / "E_4_4.json")) == 1
+    assert capsys.readouterr().err == \
+        "error: solver failed: simplex iteration limit exceeded\n"
+    assert not (tmp_path / "E_4_4.result.json").exists()
 
 
 @pytest.mark.parametrize("vehicles", ["a,b", "1,,2", "2,-1"])

@@ -216,3 +216,24 @@ def test_row_validation():
     with pytest.raises(MilpError):
         p.add_column(1.0, [(5, 1.0)])
 
+
+
+def test_repeated_row_entries_are_summed():
+    # a column may list a row twice (a route covering a task twice has
+    # coefficient 2); the solver must see the sum, as dense() does
+    rng = np.random.default_rng(31)
+    for k in range(30):
+        p = random_lp(rng, with_eq=(k % 2 == 0))
+        for j, entries in enumerate(p.col_entries):
+            r, v = entries[int(rng.integers(len(entries)))]
+            split = float(rng.uniform(-1.0, 2.0))
+            p.col_entries[j] = entries + [(r, v - split), (r, split)]
+        twice = [(int(r), 1.0) for r in rng.choice(p.n_rows, 2, replace=False)]
+        p.add_column(float(rng.uniform(0.5, 2.0)), twice + twice[:1])
+        ref = scipy_solve(p)
+        s = solve_lp(p)
+        if ref.status == 2:
+            assert s.status == "infeasible"
+            continue
+        assert s.status == "optimal"
+        assert s.objective == pytest.approx(-ref.fun, abs=1e-6)
