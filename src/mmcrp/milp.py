@@ -484,7 +484,8 @@ def solve_lp(problem: MilpProblem, state: Optional[SimplexState] = None,
 
     With a state, a warm attempt loads its basis and, after bound changes,
     repairs it by dual simplex; if that basis is unusable, a cold attempt
-    on a fresh model follows (the warm one has changed A and the basis)."""
+    on a fresh model follows (the warm one has changed artificial
+    coefficients and the basis)."""
     for warm in ((True, False) if state is not None else (False,)):
         sx = _Simplex(problem, bounds)
         start = sx.load_state(state) if warm else "cold"
