@@ -184,11 +184,12 @@ def cmd_sweep(args) -> int:
     prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
     caps = _caps(args)
     variants = enumerate_variants(instance, caps, joint_k=args.joint_k)
+    # the graph reads depot ids and the horizon only, which _with_fleet keeps
+    graph = build_graph(instance, variants)
 
     rows = []
     for m in args.vehicles:
         inst_m = _with_fleet(instance, m)
-        graph = build_graph(inst_m, variants)
         result = colgen.run(inst_m, scheme=args.scheme, heuristic=args.heuristic,
                             limits=_limits(args), graph=graph,
                             ip_time_limit_s=args.ip_time_limit or None)

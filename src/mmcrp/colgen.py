@@ -76,9 +76,7 @@ class RestrictedMaster:
     bound contributions (which pricing relies on).
     """
 
-    def __init__(self, instance: Instance, graph: TimeSpaceGraph):
-        self.instance = instance
-        self.graph = graph
+    def __init__(self, instance: Instance):
         self.task_row: dict[int, int] = {}
         rows: list[tuple[str, float]] = []
         for t in sorted(t.id for t in instance.all_tasks()):
@@ -137,11 +135,8 @@ class RestrictedMaster:
         )
         return sol.objective, duals
 
-    def solve_ip(self, time_limit_s: Optional[float] = None) -> milp.IpResult:
-        return milp.solve_ip(self.problem, time_limit_s=time_limit_s)
 
-
-def init_master(instance: Instance, graph: TimeSpaceGraph) -> RestrictedMaster:
+def init_master(instance: Instance) -> RestrictedMaster:
     """Master with one idle route per depot and one relocation dummy per
     ordered depot pair, which keeps the equality rows feasible for any depot
     inventory with matching totals."""
@@ -149,7 +144,7 @@ def init_master(instance: Instance, graph: TimeSpaceGraph) -> RestrictedMaster:
             sum(d.vehicles_end for d in instance.depots):
         raise milp.MilpError("total start and end vehicle counts differ; "
                              "the depot equality rows are infeasible")
-    master = RestrictedMaster(instance, graph)
+    master = RestrictedMaster(instance)
     depot_ids = sorted(d.id for d in instance.depots)
     for d in depot_ids:
         master.add_route(d, d, (), (), 0.0)
@@ -380,7 +375,7 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
                         ) -> tuple[float, Optional[Plan], str]:
     """Integer-solve the master over the generated columns and decode the
     chosen routes into vehicle itineraries."""
-    res = master.solve_ip(time_limit_s)
+    res = milp.solve_ip(master.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return math.nan, None, res.status
     routes: list[VehicleRoute] = []
@@ -420,7 +415,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
         graph = build_graph(instance, enumerate_variants(instance))
     reduced = _reduced_graph(graph, heuristic)
 
-    master = init_master(instance, graph)
+    master = init_master(instance)
     n_seed = len(master.routes)
     if initial_routes:
         for r in initial_routes:
@@ -520,7 +515,7 @@ def solve_single_assignment(instance: Instance, graph: TimeSpaceGraph,
                             ) -> tuple[float, Optional[Plan], str]:
     """User-dependent baseline: a car, if assigned, is bound to one user's
     whole day, so routes are restricted to a single share-free trip."""
-    master = init_master(instance, graph)
+    master = init_master(instance)
     for v in base_variants:
         master.add_route(v.start_depot, v.end_depot, (v.id,), v.covered,
                          v.saving_eur)

@@ -30,15 +30,6 @@ class EdgeModelSizeError(ValueError):
 @dataclass
 class EdgeModel:
     problem: MilpProblem
-    graph: TimeSpaceGraph
-    n_flow_rows: int
-    n_depot_rows: int
-    n_task_rows: int
-    task_row_of: dict[int, int]
-
-    @property
-    def n_rows(self) -> int:
-        return self.problem.n_rows
 
 
 @dataclass
@@ -105,14 +96,14 @@ def build_edge_model(graph: TimeSpaceGraph, instance: Instance,
         else:
             problem.add_column(0.0, entries, upper=fleet, integer=True)
 
-    return EdgeModel(problem, graph, len(interior), 2 * len(depot_ids),
-                     len(task_row), task_row)
+    return EdgeModel(problem)
 
 
 def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
                  flow: list[int]) -> list[VehicleRoute]:
     """Decompose the integral edge flow into one source-to-sink path per
-    vehicle (ride edges with the lowest id are taken first)."""
+    vehicle (the edge of lowest id with flow left is taken first, so ride
+    edges before waiting edges)."""
     remaining = list(flow)
     routes = []
     for d in sorted(graph.source):
@@ -122,8 +113,7 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
             saving = 0.0
             while node not in graph.sink.values():
                 nxt = None
-                for eid in sorted(graph.out_edges[node],
-                                  key=lambda i: (graph.edges[i].kind != RIDE, i)):
+                for eid in graph.out_edges[node]:
                     if remaining[eid] > 0:
                         nxt = eid
                         break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,43 +40,43 @@ class InstanceFormatError(ValueError):
     """Raised when an instance file is malformed; the message names the field."""
 
 
+# Calibration of the generator: a Vienna-scale 20x20 km workday.
+REGION_KM = 20.0
+TASKS_MIN = 1
+SIGMA_S = 6 * 3600
+TAU_S = 20 * 3600
+BUFFER_AT_DEPOT_S = 3600
+MAX_LEG_TIME_S = 3600
+SERVICE_MIN_S = 1800
+SERVICE_MAX_S = 7200
+CLUSTER_PROB = 0.3
+CLUSTER_RADIUS_KM = 1.0
+OTHER_MOT_PROB = 0.8
+# P(a user makes 1, 2, 3 simple trips); mean ~1.55 trips per user.
+SIMPLE_TRIP_PROBS = (0.55, 0.35, 0.10)
+SAME_DEPOT_PROB = 0.9
+CAR_EMISSION_T_PER_KM = 0.0002
+COSTS = CostParams()
+
+
 @dataclass
 class GenParams:
-    """Knobs of the generator; defaults give a Vienna-scale 20x20 km workday."""
+    """Knobs of the generator; the rest of its calibration is the module
+    constants above."""
 
     n_users: int
     n_depots: int = 2
     vehicles_per_depot: int | Sequence[int] = 2
     seed: int = 0
-    region_km: float = 20.0
-    tasks_min: int = 1
     tasks_max: int = 4
-    sigma_s: int = 6 * 3600
-    tau_s: int = 20 * 3600
-    buffer_at_depot_s: int = 3600
-    max_leg_time_s: int = 3600
-    service_min_s: int = 1800
-    service_max_s: int = 7200
-    cluster_prob: float = 0.3
-    cluster_radius_km: float = 1.0
-    other_mot_prob: float = 0.8
-    # P(a user makes 1, 2, 3 simple trips); mean ~1.55 trips per user.
-    simple_trip_probs: tuple[float, float, float] = (0.55, 0.35, 0.10)
-    same_depot_prob: float = 0.9
-    car_emission_t_per_km: float = 0.0002
-    costs: CostParams = field(default_factory=CostParams)
 
     def validate(self):
         if self.n_users < 1:
             raise GenerationError("n_users must be >= 1")
         if self.n_depots < 1:
             raise GenerationError("n_depots must be >= 1")
-        if self.region_km <= 0:
-            raise GenerationError("region_km must be > 0 (zero-area region)")
-        if self.tasks_min < 1 or self.tasks_max < self.tasks_min:
-            raise GenerationError("tasks_min/tasks_max malformed")
-        if self.sigma_s >= self.tau_s:
-            raise GenerationError("workday start must precede its end")
+        if self.tasks_max < TASKS_MIN:
+            raise GenerationError(f"tasks_max must be >= {TASKS_MIN}")
         if not isinstance(self.vehicles_per_depot, int):
             if len(self.vehicles_per_depot) != self.n_depots:
                 raise GenerationError("vehicles_per_depot list length != n_depots")
@@ -86,26 +86,25 @@ class GenParams:
             raise GenerationError("vehicles_per_depot must be >= 0")
 
 
-def _depot_locations(params: GenParams) -> list[Location]:
+def _depot_locations(n: int) -> list[Location]:
     # Fixed quantiles of the region diagonal; deterministic, seed-independent.
-    r = params.region_km
-    n = params.n_depots
+    r = REGION_KM
     return [Location((i + 1) / (n + 1) * r, (i + 1) / (n + 1) * r) for i in range(n)]
 
 
-def _max_car_leg_km(params: GenParams, mots) -> float:
+def _max_car_leg_km(mots) -> float:
     car = mots[CAR]
-    return (params.max_leg_time_s - car.extra_time_s) * car.speed_kmh / 3600.0 / car.sloping
+    return (MAX_LEG_TIME_S - car.extra_time_s) * car.speed_kmh / 3600.0 / car.sloping
 
 
-def _draw_location(rng, params: GenParams, prev_loc: Location, pool: list[Location],
+def _draw_location(rng, prev_loc: Location, pool: list[Location],
                    max_km: float) -> Location:
-    r = params.region_km
+    r = REGION_KM
     for _ in range(64):
-        if pool and rng.random() < params.cluster_prob:
+        if pool and rng.random() < CLUSTER_PROB:
             anchor = pool[int(rng.integers(len(pool)))]
             ang = rng.random() * 2 * math.pi
-            rad = math.sqrt(rng.random()) * params.cluster_radius_km
+            rad = math.sqrt(rng.random()) * CLUSTER_RADIUS_KM
             x = min(max(anchor.x_km + rad * math.cos(ang), 0.0), r)
             y = min(max(anchor.y_km + rad * math.sin(ang), 0.0), r)
         else:
@@ -121,11 +120,8 @@ def generate(params: GenParams) -> Instance:
     """Draw one deterministic instance for the given parameter set and seed."""
     params.validate()
     rng = np.random.default_rng(params.seed)
-    mots = default_mots(params.car_emission_t_per_km)
-    costs = params.costs
-    sigma, tau = params.sigma_s, params.tau_s
-
-    depot_locs = _depot_locations(params)
+    mots = default_mots(CAR_EMISSION_T_PER_KM)
+    depot_locs = _depot_locations(params.n_depots)
     if isinstance(params.vehicles_per_depot, int):
         vehicles = [params.vehicles_per_depot] * params.n_depots
     else:
@@ -134,7 +130,7 @@ def generate(params: GenParams) -> Instance:
         Depot(i, depot_locs[i], vehicles[i], vehicles[i]) for i in range(params.n_depots)
     )
 
-    max_km = _max_car_leg_km(params, mots)
+    max_km = _max_car_leg_km(mots)
     trip_counts = np.arange(1, 4)
     users: list[UserTrip] = []
     task_pool: list[Location] = []  # other users' meeting points, for clustering
@@ -143,38 +139,38 @@ def generate(params: GenParams) -> Instance:
 
     for _ in range(params.n_users):
         a_depot = int(rng.integers(params.n_depots))
-        if params.n_depots > 1 and rng.random() >= params.same_depot_prob:
+        if params.n_depots > 1 and rng.random() >= SAME_DEPOT_PROB:
             b_depot = int(rng.choice([d for d in range(params.n_depots) if d != a_depot]))
         else:
             b_depot = a_depot
-        n_trips = int(rng.choice(trip_counts, p=params.simple_trip_probs))
+        n_trips = int(rng.choice(trip_counts, p=SIMPLE_TRIP_PROBS))
         allowed = frozenset(
-            [CAR] + [k for k in OTHER_MOTS if rng.random() < params.other_mot_prob]
+            [CAR] + [k for k in OTHER_MOTS if rng.random() < OTHER_MOT_PROB]
         )
 
         own_locs: list[Location] = []
-        cursor = sigma  # earliest possible departure from the depot
+        cursor = SIGMA_S  # earliest possible departure from the depot
         for trip_idx in range(n_trips):
             start_id = a_depot
             end_id = b_depot if trip_idx == n_trips - 1 else a_depot
             start_loc, end_loc = depot_locs[start_id], depot_locs[end_id]
-            n_tasks = int(rng.integers(params.tasks_min, params.tasks_max + 1))
+            n_tasks = int(rng.integers(TASKS_MIN, params.tasks_max + 1))
 
             tasks: list[Task] = []
             prev_loc, prev_ed = start_loc, cursor
             for k in range(n_tasks):
-                loc = _draw_location(rng, params, prev_loc, task_pool, max_km)
+                loc = _draw_location(rng, prev_loc, task_pool, max_km)
                 tt = travel_time(prev_loc, loc, CAR, mots)
                 if k == 0 and trip_idx == 0:
                     slack = int(rng.triangular(0, 2.5 * 3600, 5.5 * 3600))
                 else:
                     slack = int(rng.integers(300, 2700))
                 latest_arrival = prev_ed + tt + slack
-                duration = int(rng.integers(params.service_min_s, params.service_max_s + 1))
+                duration = int(rng.integers(SERVICE_MIN_S, SERVICE_MAX_S + 1))
                 earliest_departure = latest_arrival + duration
                 # keep room to return to the depot within the workday
                 back = travel_time(loc, end_loc, CAR, mots)
-                if earliest_departure + back > tau:
+                if earliest_departure + back > TAU_S:
                     break
                 tasks.append(Task(next_task, next_user, len(tasks) + 1, loc,
                                   latest_arrival, earliest_departure))
@@ -186,7 +182,7 @@ def generate(params: GenParams) -> Instance:
             next_user += 1
             own_locs.extend(t.loc for t in tasks)
             cursor = prev_ed + travel_time(prev_loc, end_loc, CAR, mots) \
-                + params.buffer_at_depot_s
+                + BUFFER_AT_DEPOT_S
         task_pool.extend(own_locs)
 
     if not users:
@@ -194,7 +190,7 @@ def generate(params: GenParams) -> Instance:
             "no user trip fits the workday; widen the horizon or shrink travel times"
         )
 
-    instance = Instance(depots, tuple(users), mots, costs, sigma, tau)
+    instance = Instance(depots, tuple(users), mots, COSTS, SIGMA_S, TAU_S)
     instance.validate()
     return instance
 

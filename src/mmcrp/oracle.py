@@ -29,7 +29,7 @@ class _Chain:
 
 def _chains_from(graph: TimeSpaceGraph, depot: int) -> list[_Chain]:
     """All time-increasing ride-edge chains starting at a depot (incl. empty)."""
-    rides = sorted(graph.ride_edges, key=lambda e: e.id)
+    rides = graph.ride_edges
     chains: list[_Chain] = [_Chain(depot, frozenset(), 0.0)]
 
     def extend(cur_depot, cur_time, covered, saving):

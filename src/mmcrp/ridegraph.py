@@ -356,11 +356,11 @@ class TimeSpaceGraph:
     """DAG over depot-time nodes: ride edges (one per variant) plus the
     waiting chain of every depot.
 
-    Nodes are sorted by time, then depot, and every edge strictly increases
-    time, so visiting the nodes in order and each node's out_edges in edge-id
-    order relaxes every edge after all edges into its tail; topo_edges is
-    that order spelled out. Per edge, indexed by edge id: head (node
-    index) and saving (the ride saving, 0 for waiting edges). task_ids
+    Every ride edge has a lower id than every waiting edge. Nodes are sorted
+    by time, then depot, and every edge strictly increases time, so visiting
+    the nodes in order and each node's out_edges in edge-id order relaxes
+    every edge after all edges into its tail. Per edge, indexed by edge id:
+    head (node index) and saving (the ride saving, 0 for waiting edges). task_ids
     lists every task some ride edge covers, sorted; the cover pairs
     (cover_edge[k], cover_task[k]) say that edge cover_edge[k] covers task
     task_ids[cover_task[k]], listed edge by edge in covered_tasks order.
@@ -370,7 +370,6 @@ class TimeSpaceGraph:
     edges: list[Edge]
     source: dict[int, int]
     sink: dict[int, int]
-    topo_edges: list[int]
     out_edges: list[list[int]]
     variants: dict[int, TripVariant]
     sigma_s: int
@@ -397,22 +396,25 @@ class TimeSpaceGraph:
 
 
 def _assemble(depot_ids: Sequence[int], sigma: int, tau: int,
-              ride_specs: list[tuple[tuple[int, int], tuple[int, int], TripVariant, float]],
-              variants: dict[int, TripVariant],
+              rides: list[tuple[tuple[int, int], tuple[int, int], TripVariant]],
               extra_nodes: Iterable[tuple[int, int]] = ()) -> TimeSpaceGraph:
+    """Graph of one ride edge per (tail, head, variant) triple, in the given
+    order, from node key tail to node key head with the variant's saving,
+    then the waiting chain of each depot in depot_ids order over every node
+    key: both horizon ends, the ride endpoints and extra_nodes."""
     keys = {(d, sigma) for d in depot_ids} | {(d, tau) for d in depot_ids}
     keys.update(extra_nodes)
-    for tail, head, _, _ in ride_specs:
+    for tail, head, _ in rides:
         keys.add(tail)
         keys.add(head)
     nodes = sorted(keys, key=lambda k: (k[1], k[0]))
     index = {k: i for i, k in enumerate(nodes)}
 
     edges: list[Edge] = []
-    for tail, head, var, saving in ride_specs:
+    for tail, head, var in rides:
         covered = tuple(sorted({task for _, task in var.covered}))
         edges.append(Edge(len(edges), index[tail], index[head], RIDE,
-                          saving, var.id, covered))
+                          var.saving_eur, var.id, covered))
     for d in depot_ids:
         times = sorted({t for dd, t in keys if dd == d})
         for t0, t1 in zip(times[:-1], times[1:]):
@@ -430,9 +432,8 @@ def _assemble(depot_ids: Sequence[int], sigma: int, tau: int,
         edges=edges,
         source={d: index[(d, sigma)] for d in depot_ids},
         sink={d: index[(d, tau)] for d in depot_ids},
-        topo_edges=[eid for out in out_edges for eid in out],
         out_edges=out_edges,
-        variants=variants,
+        variants={var.id: var for _, _, var in rides},
         sigma_s=sigma,
         tau_s=tau,
         head=np.array([e.head for e in edges], dtype=np.int64),
@@ -453,18 +454,15 @@ def build_graph(instance: Instance,
     """
     flat = variants.all if isinstance(variants, VariantSet) else list(variants)
     sigma, tau = instance.sigma_s, instance.tau_s
-    specs = []
-    vmap = {}
+    rides = []
     for v in flat:
         if not (sigma <= v.depart_s < v.arrive_s <= tau):
             raise GraphConstructionError(
                 f"variant {v.id} times [{v.depart_s}, {v.arrive_s}] leave the "
                 f"horizon [{sigma}, {tau}]"
             )
-        specs.append(((v.start_depot, v.depart_s), (v.end_depot, v.arrive_s),
-                      v, v.saving_eur))
-        vmap[v.id] = v
-    return _assemble([d.id for d in instance.depots], sigma, tau, specs, vmap)
+        rides.append(((v.start_depot, v.depart_s), (v.end_depot, v.arrive_s), v))
+    return _assemble([d.id for d in instance.depots], sigma, tau, rides)
 
 
 def reduce_statespace(graph: TimeSpaceGraph, bucket_s: int = 600) -> TimeSpaceGraph:
@@ -495,12 +493,12 @@ def reduce_statespace(graph: TimeSpaceGraph, bucket_s: int = 600) -> TimeSpaceGr
             continue  # would no longer strictly increase in time
         key = (tail, head)
         var = graph.variants[e.variant_id]
-        if key not in best or (e.saving, -var.id) > (best[key][3], -best[key][2].id):
-            best[key] = (tail, head, var, e.saving)
+        if key not in best or (e.saving, -var.id) > (best[key][2].saving_eur,
+                                                      -best[key][2].id):
+            best[key] = (tail, head, var)
 
-    specs = sorted(best.values(), key=lambda s: s[2].id)
-    vmap = {var.id: var for _, _, var, _ in specs}
-    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, specs, vmap)
+    rides = sorted(best.values(), key=lambda r: r[2].id)
+    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, rides)
 
 
 def reduce_prune(graph: TimeSpaceGraph) -> TimeSpaceGraph:
@@ -511,32 +509,23 @@ def reduce_prune(graph: TimeSpaceGraph) -> TimeSpaceGraph:
     for e in graph.ride_edges:
         by_driver.setdefault(graph.variants[e.variant_id].driver, []).append(e)
 
-    specs = []
-    vmap = {}
+    rides = []
     for driver in sorted(by_driver):
         edges = by_driver[driver]
         first = min(edges, key=lambda e: e.variant_id)
         kept = max(edges, key=lambda e: (e.saving, -e.variant_id))
-        var = graph.variants[kept.variant_id]
-        tail = graph.nodes[first.tail]
-        head = graph.nodes[first.head]
-        specs.append((tail, head, var, kept.saving))
-        vmap[var.id] = var
-    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, specs, vmap)
+        rides.append((graph.nodes[first.tail], graph.nodes[first.head],
+                      graph.variants[kept.variant_id]))
+    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, rides)
 
 
 def drop_negative(graph: TimeSpaceGraph) -> TimeSpaceGraph:
     """Remove ride edges with negative saving; waiting chain stays intact."""
     depot_ids = sorted(graph.source)
-    specs = []
-    vmap = {}
-    for e in graph.ride_edges:
-        if e.saving < 0:
-            continue
-        var = graph.variants[e.variant_id]
-        specs.append((graph.nodes[e.tail], graph.nodes[e.head], var, e.saving))
-        vmap[var.id] = var
-    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, specs, vmap,
+    rides = [(graph.nodes[e.tail], graph.nodes[e.head],
+              graph.variants[e.variant_id])
+             for e in graph.ride_edges if e.saving >= 0]
+    return _assemble(depot_ids, graph.sigma_s, graph.tau_s, rides,
                      extra_nodes=graph.nodes)
 
 
@@ -547,14 +536,9 @@ def dump_edges(graph: TimeSpaceGraph, path):
         w.writerow(["tail_depot", "tail_s", "head_depot", "head_s",
                     "variant_id", "saving_eur"])
         for e in graph.edges:
-            if e.kind != RIDE:
-                continue
             td, tt = graph.nodes[e.tail]
             hd, ht = graph.nodes[e.head]
-            w.writerow([td, tt, hd, ht, e.variant_id, f"{e.saving:.6f}"])
-        for e in graph.edges:
-            if e.kind != WAIT:
-                continue
-            td, tt = graph.nodes[e.tail]
-            hd, ht = graph.nodes[e.head]
-            w.writerow([td, tt, hd, ht, "", "0.000000"])
+            if e.kind == RIDE:
+                w.writerow([td, tt, hd, ht, e.variant_id, f"{e.saving:.6f}"])
+            else:
+                w.writerow([td, tt, hd, ht, "", "0.000000"])

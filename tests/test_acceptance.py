@@ -162,7 +162,8 @@ def test_criterion_7_structural_invariants():
                                   vehicles_per_depot=1 + seed % 2))
         graph = build_graph(inst, enumerate_variants(inst))
         # DAG: every edge strictly increases time, topo order is consistent
-        pos = {eid: i for i, eid in enumerate(graph.topo_edges)}
+        pos = {eid: i for i, eid in enumerate(
+            [eid for out in graph.out_edges for eid in out])}
         for e in graph.edges:
             assert graph.node_time(e.tail) < graph.node_time(e.head)
             for out in graph.out_edges[e.head]:

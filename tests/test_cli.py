@@ -208,6 +208,31 @@ def test_sweep_monotone_and_zero_row(tmp_path):
     assert {"rides_per_car", "shares_per_ride"} <= set(rows[0])
 
 
+def test_sweep_builds_the_graph_once(tmp_path, monkeypatch):
+    run_cli("gen", "--users", "8", "--seed", "5", "--out-dir", str(tmp_path))
+    inst = tmp_path / "E_8_5.json"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_graph", counted)
+    assert run_cli("sweep", str(inst), "--vehicles", "0,1,2,4,2") == 0
+    assert len(calls) == 1
+
+    # the same rows as a graph built for each fleet size
+    instance = read_instance(inst)
+    variants = enumerate_variants(instance, Caps())
+    expected = ["m,ip_value,rides_per_car,shares_per_ride"]
+    for m in (0, 1, 2, 4, 2):
+        inst_m = cli._with_fleet(instance, m)
+        r = colgen.run(inst_m, graph=build_graph(inst_m, variants))
+        expected.append(f"{m},{r.ip_value:.6f},{r.plan.rides_per_car:.4f},"
+                        f"{r.plan.shares_per_ride:.4f}")
+    assert (tmp_path / "E_8_5.sweep.csv").read_text().splitlines() == expected
+
+
 def test_compare_ratio_ordering(tmp_path):
     run_cli("gen", "--users", "10", "--seed", "6", "--vehicles", "2",
             "--out-dir", str(tmp_path))

@@ -40,8 +40,8 @@ def random_duals(inst, rng, scale=5.0):
 # --- master initialisation ----------------------------------------------------
 
 def test_init_master_columns():
-    inst, g = small_graph()
-    master = init_master(inst, g)
+    inst, _ = small_graph()
+    master = init_master(inst)
     idle = [r for r in master.routes if not r.dummy]
     dummies = [r for r in master.routes if r.dummy]
     assert len(idle) == 2 and len(dummies) == 2
@@ -53,19 +53,18 @@ def test_init_master_columns():
 def test_init_master_feasible_for_any_matching_inventory():
     inst = generate(GenParams(n_users=3, n_depots=3,
                               vehicles_per_depot=[3, 0, 1], seed=2))
-    g = build_graph(inst, enumerate_variants(inst))
-    master = init_master(inst, g)
+    master = init_master(inst)
     obj, _ = master.solve_lp()
     assert math.isfinite(obj)
 
 
 def test_mismatched_inventories_detected():
     from dataclasses import replace
-    inst, g = small_graph()
+    inst, _ = small_graph()
     bad = replace(inst, depots=(replace(inst.depots[0], vehicles_end=5),)
                   + inst.depots[1:])
     with pytest.raises(Exception, match="start and end"):
-        init_master(bad, g)
+        init_master(bad)
 
 
 # --- reduced saving -------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_termination_certificate():
     r = run(inst, graph=g)
     assert r.certified
     # rebuild the master, resolve, and confirm no route prices positive
-    master = init_master(inst, g)
+    master = init_master(inst)
     for route in r.routes[len(master.routes):]:
         master.add_route(route.start_depot, route.end_depot, route.variant_ids,
                          route.covered, route.saving_eur, route.dummy)
@@ -254,7 +253,7 @@ def test_restricted_ip_keeps_integral_lp():
     inst, g = small_graph(seed=9, n_users=3)
     r = run(inst, graph=g)
     if abs(r.lp_bound - r.ip_value) <= 1e-9:
-        master = init_master(inst, g)
+        master = init_master(inst)
         for route in r.routes[len(master.routes):]:
             master.add_route(route.start_depot, route.end_depot,
                              route.variant_ids, route.covered,

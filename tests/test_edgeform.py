@@ -24,7 +24,7 @@ def test_row_count_formula():
         specials = set(g.source.values()) | set(g.sink.values())
         n_interior = len(g.nodes) - len(specials)
         n_tasks = len(inst.all_tasks())
-        assert model.n_rows == n_interior + 2 * len(inst.depots) + n_tasks
+        assert model.problem.n_rows == n_interior + 2 * len(inst.depots) + n_tasks
 
 
 def test_zero_users_graph_solves_to_zero():

@@ -4,6 +4,7 @@ from mmcrp.instgen import (
     GenParams,
     GenerationError,
     InstanceFormatError,
+    MAX_LEG_TIME_S,
     generate,
     instance_from_dict,
     instance_to_dict,
@@ -44,11 +45,10 @@ def test_generated_instances_validate_and_fit_horizon():
 
 
 def test_consecutive_tasks_car_reachable_within_cap():
-    params = GenParams(n_users=15, seed=3)
-    inst = generate(params)
+    inst = generate(GenParams(n_users=15, seed=3))
     for u in inst.users:
         for a, b in zip(u.tasks[:-1], u.tasks[1:]):
-            assert travel_time(a.loc, b.loc, CAR, inst.mots) <= params.max_leg_time_s
+            assert travel_time(a.loc, b.loc, CAR, inst.mots) <= MAX_LEG_TIME_S
 
 
 def test_fleet_totals():
@@ -91,11 +91,6 @@ def test_malformed_json_is_an_error(tmp_path):
     p.write_text("{not json")
     with pytest.raises(InstanceFormatError):
         read_instance(p)
-
-
-def test_zero_area_region_rejected():
-    with pytest.raises(GenerationError, match="region"):
-        generate(GenParams(n_users=5, region_km=0.0))
 
 
 def test_bad_user_count_rejected():

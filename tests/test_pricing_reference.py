@@ -137,7 +137,7 @@ def assert_same_pricing(instance, graph, duals_list) -> int:
               drop_negative(graph)]
     compared = 0
     for g in graphs:
-        assert g.topo_edges == ref_topo_edges(g)
+        assert [eid for out in g.out_edges for eid in out] == ref_topo_edges(g)
         for duals in duals_list:
             w = edge_weights(g, duals)
             assert np.array_equal(w, ref_edge_weights(g, duals))

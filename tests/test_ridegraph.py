@@ -199,15 +199,20 @@ def test_zero_users_graph_is_waiting_chains():
     assert len(g.nodes) == 4
 
 
-def test_five_base_variants_two_chains():
-    # five users far apart, no feasible shares: one ride edge each
+def five_user_instance():
+    """Five users far apart with one task each, so no share is feasible."""
     users = []
     for i in range(5):
         x = 2.0 + 3.5 * i
         users.append((i % 2, i % 2, ALL_MOTS,
                       [make_task(i, i, 1, x, 0.5 + 2.9 * i,
                                  SIGMA + 3600 + 900 * i, 1800)]))
-    inst = make_instance([(0.0, 0.0), (18.0, 18.0)], users)
+    return make_instance([(0.0, 0.0), (18.0, 18.0)], users)
+
+
+def test_five_base_variants_two_chains():
+    # no feasible shares: one ride edge each
+    inst = five_user_instance()
     vs = enumerate_variants(inst)
     g = build_graph(inst, vs)
     assert len(g.ride_edges) == 5
@@ -233,7 +238,8 @@ def test_graph_is_a_dag_with_monotone_edges():
     for e in g.edges:
         assert g.node_time(e.tail) < g.node_time(e.head)
     # relaxation order: every edge into a node precedes the node's out-edges
-    position = {eid: i for i, eid in enumerate(g.topo_edges)}
+    position = {eid: i for i, eid in enumerate(
+        [eid for out in g.out_edges for eid in out])}
     for e in g.edges:
         for out in g.out_edges[e.head]:
             assert position[e.id] < position[out]
