@@ -10,7 +10,6 @@ from .colgen import (
     CgLimits,
     CgResult,
     DualPrices,
-    Route,
     init_master,
     price,
     reduced_saving,
@@ -61,6 +60,6 @@ from .ridegraph import (
     reduce_prune,
     reduce_statespace,
 )
-from .solution import Plan, VehicleRoute, build_plan
+from .solution import Plan, Route, build_plan
 
 __version__ = "0.1.0"

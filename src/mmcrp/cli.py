@@ -2,9 +2,9 @@
 baseline comparisons.
 
 Exit codes: 0 success (including flagged partial results on a time limit),
-1 I/O error or solver failure, 2 usage error. Set MMCRP_LOG to
-error|info|debug for progress output. Results are written as JSON plus CSV;
-plotting is left to external tools."""
+1 I/O error or solver failure, 2 usage error. MMCRP_LOG=info (or debug)
+logs the file gen wrote and one line per fleet size of sweep. Results are
+written as JSON plus CSV; plotting is left to external tools."""
 
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ def cmd_solve(args) -> int:
     doc = {
         "instance": str(args.instance),
         "solver": "colgen",
-        "scheme": result.scheme,
-        "heuristic": result.heuristic,
+        "scheme": args.scheme,
+        "heuristic": args.heuristic,
         "lp_bound": _none_if_nan(result.lp_bound),
         "ip_value": _none_if_nan(result.ip_value),
         "gap_pct": _none_if_nan(result.gap_pct),

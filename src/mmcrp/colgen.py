@@ -30,25 +30,12 @@ from .ridegraph import (
     reduce_prune,
     reduce_statespace,
 )
-from .solution import Plan, VehicleRoute, build_plan
+from .solution import Plan, Route, build_plan
 
 SCHEMES = ("best", "first", "firstdep", "multiple")
 HEURISTICS = ("none", "heuredges", "heurprun", "statespace")
 
 RELOCATION_PENALTY = 1e7
-
-
-@dataclass(frozen=True)
-class Route:
-    """A master column: one vehicle day as the variants it drives."""
-
-    id: int
-    start_depot: int
-    end_depot: int
-    variant_ids: tuple[int, ...]
-    covered: tuple[tuple[int, int], ...]
-    saving_eur: float
-    dummy: bool = False
 
 
 @dataclass
@@ -94,39 +81,33 @@ class RestrictedMaster:
         self.routes: list[Route] = []
         self._identities: set = set()
         self._state = None
-        self.last_objective: Optional[float] = None
 
-    def add_route(self, start_depot: int, end_depot: int,
-                  variant_ids: tuple[int, ...],
-                  covered: tuple[tuple[int, int], ...],
-                  saving_eur: float, dummy: bool = False) -> Optional[Route]:
-        """Append a column; returns None for a duplicate (same coverage,
-        depots and saving as an existing one).
+    def add_route(self, route: Route) -> bool:
+        """Append route as a column; returns False for a duplicate (same
+        coverage, depots and saving as an existing one).
 
         covered is a multiset: a task touched by two rides of the path gets
         coefficient 2, which keeps the column consistent with what pricing
         valued (its saving counts that leg twice) while the <=1 row makes it
         unusable in any integer solution."""
-        covered = tuple(sorted(covered))
-        identity = (start_depot, end_depot, covered, round(saving_eur, 9))
+        covered = tuple(sorted(route.covered))
+        identity = (route.start_depot, route.end_depot, covered,
+                    round(route.saving_eur, 9))
         if identity in self._identities:
-            return None
+            return False
         self._identities.add(identity)
         entries = [(self.task_row[task], 1.0) for _, task in covered]
-        entries.append((self.start_row[start_depot], 1.0))
-        entries.append((self.end_row[end_depot], 1.0))
-        self.problem.add_column(saving_eur, entries, integer=True)
-        route = Route(len(self.routes), start_depot, end_depot,
-                      tuple(variant_ids), covered, saving_eur, dummy)
+        entries.append((self.start_row[route.start_depot], 1.0))
+        entries.append((self.end_row[route.end_depot], 1.0))
+        self.problem.add_column(route.saving_eur, entries, integer=True)
         self.routes.append(route)
-        return route
+        return True
 
     def solve_lp(self) -> tuple[float, DualPrices]:
         sol = milp.solve_lp(self.problem, state=self._state)
         if sol.status != "optimal":
             raise milp.MilpError(f"restricted master LP is {sol.status}")
         self._state = sol.state
-        self.last_objective = sol.objective
         y = sol.duals
         duals = DualPrices(
             alpha={t: float(y[r]) for t, r in self.task_row.items()},
@@ -147,11 +128,12 @@ def init_master(instance: Instance) -> RestrictedMaster:
     master = RestrictedMaster(instance)
     depot_ids = sorted(d.id for d in instance.depots)
     for d in depot_ids:
-        master.add_route(d, d, (), (), 0.0)
+        master.add_route(Route(d, d, (), (), 0.0))
     for d in depot_ids:
         for d2 in depot_ids:
             if d != d2:
-                master.add_route(d, d2, (), (), -RELOCATION_PENALTY, dummy=True)
+                master.add_route(Route(d, d2, (), (), -RELOCATION_PENALTY,
+                                       dummy=True))
     return master
 
 
@@ -161,16 +143,11 @@ def init_master(instance: Instance) -> RestrictedMaster:
 @dataclass
 class Candidate:
     reduced_saving: float
-    start_depot: int
-    end_depot: int
-    variant_ids: tuple[int, ...]
-    covered: tuple[tuple[int, int], ...]
-    saving_eur: float
+    route: Route
 
 
 @dataclass
 class PricingResult:
-    start_depot: int
     best_per_end: dict[int, Candidate]
     candidates: list[Candidate]
     edges_relaxed: int
@@ -245,8 +222,9 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
             v = e.tail
         vids.reverse()
         # multiset on purpose: pricing valued a twice-touched task twice
-        return Candidate(reduced(node), start_depot, graph.node_depot(node),
-                         tuple(vids), tuple(sorted(covered)), saving)
+        return Candidate(reduced(node),
+                         Route(start_depot, graph.node_depot(node),
+                               tuple(vids), tuple(sorted(covered)), saving))
 
     best_per_end: dict[int, Candidate] = {}
     for d, sink in sorted(graph.sink.items()):
@@ -262,7 +240,7 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
         candidates = [c for c in best_per_end.values()
                       if c.reduced_saving > TOL_RC]
 
-    return PricingResult(start_depot, best_per_end, candidates, relaxed)
+    return PricingResult(best_per_end, candidates, relaxed)
 
 
 # --- the column-generation loop ---------------------------------------------
@@ -295,8 +273,6 @@ class CgResult:
     plan: Optional[Plan]
     converged: bool
     certified: bool
-    scheme: str
-    heuristic: str
     ip_status: str
     pricing_s: float
     master_s: float
@@ -364,8 +340,8 @@ def _price_iteration(pgraph: TimeSpaceGraph, duals: DualPrices, scheme: str,
         if scheme == "first" and picked:
             return picked[:1]
     if scheme == "multiple":
-        picked.sort(key=lambda c: (-c.reduced_saving, c.start_depot,
-                                   c.end_depot, c.variant_ids))
+        picked.sort(key=lambda c: (-c.reduced_saving, c.route.start_depot,
+                                   c.route.end_depot, c.route.variant_ids))
     return picked
 
 
@@ -378,15 +354,8 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
     res = milp.solve_ip(master.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return math.nan, None, res.status
-    routes: list[VehicleRoute] = []
-    for j, route in enumerate(master.routes):
-        count = int(round(res.x[j]))
-        if count <= 0:
-            continue
-        for _ in range(count):
-            routes.append(VehicleRoute(route.start_depot, route.end_depot,
-                                       route.variant_ids, route.saving_eur,
-                                       relocation_dummy=route.dummy))
+    routes = [route for route, x in zip(master.routes, res.x)
+              for _ in range(int(round(x)))]
     plan = build_plan(instance, graph.variants, routes)
     return float(res.objective), plan, res.status
 
@@ -417,10 +386,8 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
 
     master = init_master(instance)
     n_seed = len(master.routes)
-    if initial_routes:
-        for r in initial_routes:
-            master.add_route(r.start_depot, r.end_depot, r.variant_ids,
-                             r.covered, r.saving_eur, r.dummy)
+    for r in initial_routes or ():
+        master.add_route(r)
     depot_ids = sorted(d.id for d in instance.depots)
 
     phase = "heuristic" if reduced is not None else "exact"
@@ -444,15 +411,11 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
         picked = _price_iteration(pgraph, duals, scheme, depot_ids, relax_counts)
         if phase == "heuristic":
             picked = [c for c in picked
-                      if _chain_ok(graph.variants, c.variant_ids)]
+                      if _chain_ok(graph.variants, c.route.variant_ids)]
         dt_pricing = time.perf_counter() - t_p
         pricing_s += dt_pricing
 
-        added = 0
-        for c in picked:
-            if master.add_route(c.start_depot, c.end_depot, c.variant_ids,
-                                c.covered, c.saving_eur) is not None:
-                added += 1
+        added = sum(master.add_route(c.route) for c in picked)
         log.append(IterationLog(iterations, lp_obj, added,
                                 round(dt_pricing * 1000.0, 3),
                                 round(dt_master * 1000.0, 3), phase))
@@ -469,13 +432,13 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
         if limits.time_limit_s and time.perf_counter() - t_start > limits.time_limit_s:
             break
 
+    lp_bound = lp_obj
     if not converged:
         # a limit stopped the loop after columns were added: refresh the LP
         # value over the final column set so lp_bound >= ip_value holds
         t_m = time.perf_counter()
-        master.solve_lp()
+        lp_bound, _ = master.solve_lp()
         master_s += time.perf_counter() - t_m
-    lp_bound = master.last_objective
     t0 = time.perf_counter()
     ip_value, plan, ip_status = solve_restricted_ip(instance, graph, master,
                                                     ip_time_limit_s)
@@ -498,8 +461,6 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
         plan=plan,
         converged=converged,
         certified=certified,
-        scheme=scheme,
-        heuristic=heuristic,
         ip_status=ip_status,
         pricing_s=pricing_s,
         master_s=master_s,
@@ -517,6 +478,6 @@ def solve_single_assignment(instance: Instance, graph: TimeSpaceGraph,
     whole day, so routes are restricted to a single share-free trip."""
     master = init_master(instance)
     for v in base_variants:
-        master.add_route(v.start_depot, v.end_depot, (v.id,), v.covered,
-                         v.saving_eur)
+        master.add_route(Route(v.start_depot, v.end_depot, (v.id,), v.covered,
+                               v.saving_eur))
     return solve_restricted_ip(instance, graph, master, time_limit_s)

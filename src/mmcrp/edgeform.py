@@ -20,7 +20,7 @@ from typing import Optional
 from .milp import EQ, LE, IpResult, MilpProblem, solve_ip
 from .model import Instance
 from .ridegraph import RIDE, TimeSpaceGraph
-from .solution import Plan, VehicleRoute, build_plan
+from .solution import Plan, Route, build_plan
 
 
 class EdgeModelSizeError(ValueError):
@@ -100,7 +100,7 @@ def build_edge_model(graph: TimeSpaceGraph, instance: Instance,
 
 
 def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
-                 flow: list[int]) -> list[VehicleRoute]:
+                 flow: list[int]) -> list[Route]:
     """Decompose the integral edge flow into one source-to-sink path per
     vehicle (the edge of lowest id with flow left is taken first, so ride
     edges before waiting edges)."""
@@ -110,6 +110,7 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
         for _ in range(instance.depot(d).vehicles_start):
             node = graph.source[d]
             variant_ids = []
+            covered = []
             saving = 0.0
             while node not in graph.sink.values():
                 nxt = None
@@ -123,10 +124,12 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
                 e = graph.edges[nxt]
                 if e.kind == RIDE:
                     variant_ids.append(e.variant_id)
+                    covered.extend(graph.variants[e.variant_id].covered)
                     saving += e.saving
                 node = e.head
             end_d = graph.node_depot(node)
-            routes.append(VehicleRoute(d, end_d, tuple(variant_ids), saving))
+            routes.append(Route(d, end_d, tuple(variant_ids),
+                                tuple(sorted(covered)), saving))
     return routes
 
 

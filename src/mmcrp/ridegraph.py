@@ -299,9 +299,9 @@ def _make_variant(driver: UserTrip, combo: Sequence[_LegOption],
         if not opt.is_share:
             continue
         shares.append((leg_idx, opt.rider_id, opt.rider_leg))
-        for t in (opt.rider_u, opt.rider_v):
-            if not t.is_depot_endpoint:
-                covered.add((opt.rider_id, t.id))
+        # _rider_legs drops every leg with a depot end
+        covered.add((opt.rider_id, opt.rider_u.id))
+        covered.add((opt.rider_id, opt.rider_v.id))
     return TripVariant(
         id=variant_id,
         driver=driver.user_id,

@@ -1,4 +1,5 @@
-"""Decoded plans: vehicle itineraries, fallback assignments and usage metrics."""
+"""The route record and decoded plans: vehicle itineraries, fallback
+assignments and usage metrics."""
 
 from __future__ import annotations
 
@@ -10,19 +11,25 @@ from .ridegraph import TripVariant
 
 
 @dataclass(frozen=True)
-class VehicleRoute:
-    """One vehicle's day: depot-to-depot rides in time order (may be empty)."""
+class Route:
+    """One vehicle's day: depot-to-depot rides in time order (may be empty).
+
+    The same record serves as a priced candidate, a master column and a plan
+    route. covered is the sorted multiset of the (user, task) pairs its
+    variants cover: a task touched by two rides appears twice. dummy marks
+    the master's relocation columns."""
 
     start_depot: int
     end_depot: int
     variant_ids: tuple[int, ...]
+    covered: tuple[tuple[int, int], ...]
     saving_eur: float
-    relocation_dummy: bool = False
+    dummy: bool = False
 
 
 @dataclass
 class Plan:
-    routes: list[VehicleRoute]
+    routes: list[Route]
     total_saving: float
     covered: frozenset[tuple[int, int]]
     uncovered: dict[int, tuple[str, float]]
@@ -50,7 +57,7 @@ def fallback_assignment(instance: Instance,
 
 
 def build_plan(instance: Instance, variants: Mapping[int, TripVariant],
-               routes: Iterable[VehicleRoute]) -> Plan:
+               routes: Iterable[Route]) -> Plan:
     routes = list(routes)
     covered: set[tuple[int, int]] = set()
     for r in routes:
@@ -69,5 +76,5 @@ def build_plan(instance: Instance, variants: Mapping[int, TripVariant],
         uncovered=fallback_assignment(instance, task_ids),
         rides_per_car=n_rides / fleet if fleet else 0.0,
         shares_per_ride=n_shares / n_rides if n_rides else 0.0,
-        uses_dummy=any(r.relocation_dummy for r in routes),
+        uses_dummy=any(r.dummy for r in routes),
     )

@@ -58,6 +58,22 @@ def test_init_master_feasible_for_any_matching_inventory():
     assert math.isfinite(obj)
 
 
+def test_add_route_skips_duplicate_columns():
+    from dataclasses import replace
+    inst, g = small_graph()
+    master = init_master(inst)
+    v = max(g.variants.values(), key=lambda v: len(v.covered))
+    route = Route(v.start_depot, v.end_depot, (v.id,), v.covered, v.saving_eur)
+    assert master.add_route(route)
+    n_cols, routes = master.problem.n_cols, list(master.routes)
+    # same depots, covered multiset and saving, other variant ids
+    twin = replace(route, variant_ids=(), covered=route.covered[::-1])
+    assert not master.add_route(twin)
+    assert master.problem.n_cols == n_cols and master.routes == routes
+    assert master.add_route(replace(route, saving_eur=v.saving_eur + 1e-8))
+    assert master.problem.n_cols == n_cols + 1
+
+
 def test_mismatched_inventories_detected():
     from dataclasses import replace
     inst, _ = small_graph()
@@ -72,9 +88,9 @@ def test_mismatched_inventories_detected():
 def test_reduced_saving_zero_duals_is_route_saving():
     inst, g = small_graph()
     zero = DualPrices({}, {}, {})
-    r = Route(0, 0, 1, (), ((0, 0), (0, 1)), 12.5)
+    r = Route(0, 1, (), ((0, 0), (0, 1)), 12.5)
     assert reduced_saving(r, zero) == 12.5
-    idle = Route(1, 0, 0, (), (), 0.0)
+    idle = Route(0, 0, (), (), 0.0)
     assert reduced_saving(idle, zero) == 0.0
 
 
@@ -84,12 +100,11 @@ def test_reduced_saving_matches_dot_product():
     duals = random_duals(inst, rng)
     res = price(g, duals, 0, collect="all")
     for cand in res.candidates[:20]:
-        route = Route(0, cand.start_depot, cand.end_depot, cand.variant_ids,
-                      cand.covered, cand.saving_eur)
-        want = cand.saving_eur
-        want -= sum(duals.alpha.get(t, 0.0) for _, t in cand.covered)
-        want -= duals.beta.get(cand.start_depot, 0.0)
-        want -= duals.delta.get(cand.end_depot, 0.0)
+        route = cand.route
+        want = route.saving_eur
+        want -= sum(duals.alpha.get(t, 0.0) for _, t in route.covered)
+        want -= duals.beta.get(route.start_depot, 0.0)
+        want -= duals.delta.get(route.end_depot, 0.0)
         assert reduced_saving(route, duals) == pytest.approx(want, abs=1e-9)
         assert cand.reduced_saving == pytest.approx(want, abs=1e-6)
 
@@ -104,7 +119,7 @@ def test_price_on_chains_only_graph():
     assert set(res.best_per_end) == {0}  # no cross-depot path without rides
     assert res.best_per_end[0].reduced_saving == pytest.approx(
         -0.5 - 0.125, abs=1e-12)
-    assert res.best_per_end[0].variant_ids == ()
+    assert res.best_per_end[0].route.variant_ids == ()
 
 
 def test_price_single_positive_edge():
@@ -119,7 +134,7 @@ def test_price_single_positive_edge():
     cand = res.best_per_end[0]
     edge = g.ride_edges[0]
     if edge.saving > 0:
-        assert cand.variant_ids == (edge.variant_id,)
+        assert cand.route.variant_ids == (edge.variant_id,)
         assert cand.reduced_saving == pytest.approx(edge.saving, abs=1e-9)
 
 
@@ -198,8 +213,7 @@ def test_termination_certificate():
     # rebuild the master, resolve, and confirm no route prices positive
     master = init_master(inst)
     for route in r.routes[len(master.routes):]:
-        master.add_route(route.start_depot, route.end_depot, route.variant_ids,
-                         route.covered, route.saving_eur, route.dummy)
+        master.add_route(route)
     _, duals = master.solve_lp()
     for d0 in sorted(g.source):
         res = price(g, duals, d0, collect="all")
@@ -255,9 +269,7 @@ def test_restricted_ip_keeps_integral_lp():
     if abs(r.lp_bound - r.ip_value) <= 1e-9:
         master = init_master(inst)
         for route in r.routes[len(master.routes):]:
-            master.add_route(route.start_depot, route.end_depot,
-                             route.variant_ids, route.covered,
-                             route.saving_eur, route.dummy)
+            master.add_route(route)
         ip_value, plan, status = solve_restricted_ip(inst, g, master)
         assert status == "optimal"
         assert ip_value == pytest.approx(r.ip_value, abs=1e-9)

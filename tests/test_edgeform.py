@@ -90,6 +90,19 @@ def test_edge_optimum_dominates_cg_ip():
         assert res.objective >= cg.ip_value - 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plan_routes_carry_their_coverage(seed):
+    inst = generate(GenParams(n_users=10, seed=seed))
+    g = build_graph(inst, enumerate_variants(inst))
+    for plan in (solve_edge(g, inst).plan, colgen.run(inst, graph=g).plan):
+        assert any(r.variant_ids for r in plan.routes)
+        for r in plan.routes:
+            assert r.covered == tuple(sorted(
+                pair for vid in r.variant_ids
+                for pair in g.variants[vid].covered))
+        assert plan.covered == {pair for r in plan.routes for pair in r.covered}
+
+
 def test_size_guard():
     inst, g = tiny_instance(0)
     with pytest.raises(EdgeModelSizeError, match="column-generation"):

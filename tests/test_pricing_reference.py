@@ -21,7 +21,14 @@ import pytest
 
 from mmcrp import colgen
 from mmcrp.cli import split_fleet
-from mmcrp.colgen import Candidate, DualPrices, PricingResult, edge_weights, price
+from mmcrp.colgen import (
+    Candidate,
+    DualPrices,
+    PricingResult,
+    Route,
+    edge_weights,
+    price,
+)
 from mmcrp.instgen import GenParams, generate
 from mmcrp.milp import TOL_RC
 from mmcrp.ridegraph import (
@@ -88,8 +95,8 @@ def ref_price(graph, duals, start_depot, collect, w):
         vids.reverse()
         end_d = graph.nodes[node][0]
         rc = f[node] - beta - duals.delta.get(end_d, 0.0)
-        return Candidate(rc, start_depot, end_d, tuple(vids),
-                         tuple(sorted(covered)), saving)
+        return Candidate(rc, Route(start_depot, end_d, tuple(vids),
+                                   tuple(sorted(covered)), saving))
 
     best_per_end = {d: reconstruct(sink)
                     for d, sink in sorted(graph.sink.items())
@@ -104,14 +111,14 @@ def ref_price(graph, duals, start_depot, collect, w):
             if f[v] - beta - duals.delta.get(d, 0.0) <= TOL_RC:
                 continue
             cand = reconstruct(v)
-            key = (frozenset(cand.variant_ids), d)
+            key = (frozenset(cand.route.variant_ids), d)
             if key not in seen:
                 seen.add(key)
                 candidates.append(cand)
     else:
         candidates = [c for c in best_per_end.values()
                       if c.reduced_saving > TOL_RC]
-    return PricingResult(start_depot, best_per_end, candidates, relaxed)
+    return PricingResult(best_per_end, candidates, relaxed)
 
 
 def recorded_duals(instance, graph) -> list[DualPrices]:

@@ -329,8 +329,8 @@ def test_pricing_never_uses_dropped_edges():
     for d in sorted(reduced.source):
         res = price(reduced, duals, d, collect="all")
         for cand in res.candidates:
-            assert set(cand.variant_ids) <= kept
-            for vid in cand.variant_ids:
+            assert set(cand.route.variant_ids) <= kept
+            for vid in cand.route.variant_ids:
                 assert g.variants[vid].saving_eur >= 0
 
 
