@@ -33,7 +33,10 @@ from .ridegraph import (
 from .solution import Plan, Route, build_plan
 
 SCHEMES = ("best", "first", "firstdep", "multiple")
-HEURISTICS = ("none", "heuredges", "heurprun", "statespace")
+#: the graph reduction each heuristic pricing phase runs on
+REDUCTIONS = {"heuredges": drop_negative, "heurprun": reduce_prune,
+              "statespace": reduce_statespace}
+HEURISTICS = ("none", *REDUCTIONS)
 
 RELOCATION_PENALTY = 1e7
 
@@ -48,7 +51,7 @@ class DualPrices:
 def reduced_saving(route: Route, duals: DualPrices) -> float:
     """Route saving minus its coverage duals and both depot-inventory duals."""
     total = route.saving_eur
-    total -= sum(duals.alpha.get(task, 0.0) for _, task in route.covered)
+    total -= sum(duals.alpha.get(task, 0.0) for task in route.covered)
     total -= duals.beta.get(route.start_depot, 0.0)
     total -= duals.delta.get(route.end_depot, 0.0)
     return total
@@ -96,7 +99,7 @@ class RestrictedMaster:
         if identity in self._identities:
             return False
         self._identities.add(identity)
-        entries = [(self.task_row[task], 1.0) for _, task in covered]
+        entries = [(self.task_row[task], 1.0) for task in covered]
         entries.append((self.start_row[route.start_depot], 1.0))
         entries.append((self.end_row[route.end_depot], 1.0))
         self.problem.add_column(route.saving_eur, entries, integer=True)
@@ -218,7 +221,7 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
             if e.kind == RIDE:
                 vids.append(e.variant_id)
                 saving += e.saving
-                covered.extend(graph.variants[e.variant_id].covered)
+                covered.extend(e.covered_tasks)
             v = e.tail
         vids.reverse()
         # multiset on purpose: pricing valued a twice-touched task twice
@@ -297,18 +300,6 @@ def _chain_ok(variants, variant_ids: tuple[int, ...]) -> bool:
     return True
 
 
-def _reduced_graph(graph: TimeSpaceGraph, heuristic: str) -> Optional[TimeSpaceGraph]:
-    if heuristic == "none":
-        return None
-    if heuristic == "heuredges":
-        return drop_negative(graph)
-    if heuristic == "heurprun":
-        return reduce_prune(graph)
-    if heuristic == "statespace":
-        return reduce_statespace(graph)
-    raise ValueError(f"unknown heuristic '{heuristic}'")
-
-
 def _price_iteration(pgraph: TimeSpaceGraph, duals: DualPrices, scheme: str,
                      depot_ids: list[int],
                      relax_counts: list[tuple[int, int]]) -> list[Candidate]:
@@ -382,7 +373,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
 
     if graph is None:
         graph = build_graph(instance, enumerate_variants(instance))
-    reduced = _reduced_graph(graph, heuristic)
+    reduced = REDUCTIONS[heuristic](graph) if heuristic != "none" else None
 
     master = init_master(instance)
     n_seed = len(master.routes)
@@ -398,12 +389,17 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
     iterations = 0
     converged = False
     certified = False
+    # a limit stops the loop after its next LP solve, so lp_bound is the LP
+    # value over the final column set and lp_bound >= ip_value holds
+    limit_hit = False
 
     while True:
         t_m = time.perf_counter()
-        lp_obj, duals = master.solve_lp()
+        lp_bound, duals = master.solve_lp()
         dt_master = time.perf_counter() - t_m
         master_s += dt_master
+        if limit_hit:
+            break
         iterations += 1
 
         pgraph = reduced if phase == "heuristic" else graph
@@ -416,7 +412,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
         pricing_s += dt_pricing
 
         added = sum(master.add_route(c.route) for c in picked)
-        log.append(IterationLog(iterations, lp_obj, added,
+        log.append(IterationLog(iterations, lp_bound, added,
                                 round(dt_pricing * 1000.0, 3),
                                 round(dt_master * 1000.0, 3), phase))
 
@@ -428,17 +424,10 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
             certified = not picked
             break
         if limits.early_stop_iterations and iterations >= limits.early_stop_iterations:
-            break
-        if limits.time_limit_s and time.perf_counter() - t_start > limits.time_limit_s:
-            break
+            limit_hit = True
+        elif limits.time_limit_s and time.perf_counter() - t_start > limits.time_limit_s:
+            limit_hit = True
 
-    lp_bound = lp_obj
-    if not converged:
-        # a limit stopped the loop after columns were added: refresh the LP
-        # value over the final column set so lp_bound >= ip_value holds
-        t_m = time.perf_counter()
-        lp_bound, _ = master.solve_lp()
-        master_s += time.perf_counter() - t_m
     t0 = time.perf_counter()
     ip_value, plan, ip_status = solve_restricted_ip(instance, graph, master,
                                                     ip_time_limit_s)

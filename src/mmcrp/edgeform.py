@@ -124,7 +124,7 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
                 e = graph.edges[nxt]
                 if e.kind == RIDE:
                     variant_ids.append(e.variant_id)
-                    covered.extend(graph.variants[e.variant_id].covered)
+                    covered.extend(e.covered_tasks)
                     saving += e.saving
                 node = e.head
             end_d = graph.node_depot(node)

@@ -172,8 +172,8 @@ def generate(params: GenParams) -> Instance:
                 back = travel_time(loc, end_loc, CAR, mots)
                 if earliest_departure + back > TAU_S:
                     break
-                tasks.append(Task(next_task, next_user, len(tasks) + 1, loc,
-                                  latest_arrival, earliest_departure))
+                tasks.append(Task(next_task, loc, latest_arrival,
+                                  earliest_departure))
                 next_task += 1
                 prev_loc, prev_ed = loc, earliest_departure
             if not tasks:
@@ -287,7 +287,7 @@ def instance_from_dict(doc: dict) -> Instance:
         for j, tdoc in enumerate(_require(entry, "tasks", where)):
             twhere = f"{where}.tasks[{j}]"
             task = Task(
-                next_task, user_id, j + 1,
+                next_task,
                 Location(float(_require(tdoc, "x_km", twhere)),
                          float(_require(tdoc, "y_km", twhere))),
                 int(_require(tdoc, "latest_arrival_s", twhere)),

@@ -100,8 +100,6 @@ class Task:
     """
 
     id: int
-    owner: int
-    seq_index: int
     loc: Location
     latest_arrival_s: int
     earliest_departure_s: int
@@ -113,7 +111,7 @@ class Task:
     def validate(self):
         if self.earliest_departure_s < self.latest_arrival_s:
             raise ValidationError(
-                f"task {self.id} of user {self.owner}: earliest_departure_s "
+                f"task {self.id}: earliest_departure_s "
                 f"({self.earliest_departure_s}) < latest_arrival_s ({self.latest_arrival_s})"
             )
 
@@ -131,13 +129,8 @@ class UserTrip:
     def validate(self):
         if not self.tasks:
             raise ValidationError(f"user {self.user_id} has no tasks")
-        for i, t in enumerate(self.tasks):
+        for t in self.tasks:
             t.validate()
-            if t.seq_index != i + 1:
-                raise ValidationError(
-                    f"user {self.user_id}: task {t.id} out of sequence "
-                    f"(seq_index {t.seq_index} at position {i + 1})"
-                )
 
 
 @dataclass(frozen=True)
@@ -160,10 +153,6 @@ class Instance:
     costs: CostParams
     sigma_s: int
     tau_s: int
-
-    @property
-    def horizon(self) -> tuple[int, int]:
-        return (self.sigma_s, self.tau_s)
 
     @property
     def fleet_size(self) -> int:
@@ -216,13 +205,11 @@ class Instance:
                     )
 
 
-def depot_pseudo_task(user: UserTrip, depot: Depot, sigma_s: int, tau_s: int,
+def depot_pseudo_task(depot: Depot, sigma_s: int, tau_s: int,
                       at_start: bool) -> Task:
     """Depot endpoint as a pseudo-task: arriving is free until tau, leaving from sigma."""
     return Task(
         id=-1 if at_start else -2,
-        owner=user.user_id,
-        seq_index=0 if at_start else len(user.tasks) + 1,
         loc=depot.loc,
         latest_arrival_s=tau_s,
         earliest_departure_s=sigma_s,
@@ -231,9 +218,9 @@ def depot_pseudo_task(user: UserTrip, depot: Depot, sigma_s: int, tau_s: int,
 
 def extended_sequence(instance: Instance, user: UserTrip) -> list[Task]:
     """User's task sequence with the depot endpoints prepended/appended."""
-    start = depot_pseudo_task(user, instance.depot(user.start_depot),
+    start = depot_pseudo_task(instance.depot(user.start_depot),
                               instance.sigma_s, instance.tau_s, at_start=True)
-    end = depot_pseudo_task(user, instance.depot(user.end_depot),
+    end = depot_pseudo_task(instance.depot(user.end_depot),
                             instance.sigma_s, instance.tau_s, at_start=False)
     return [start, *user.tasks, end]
 
@@ -330,11 +317,19 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
     corresponding detour term. With joint_k=True the counterfactual picks one
     common non-car mode for both legs instead of each leg's own cheapest.
 
-    leg_costs, when given, holds what depends on one leg only: the driver
-    leg's and the rider leg's cheapest_other_mot costs and the rider leg's
-    car cost. The result is the same float as when they are computed here;
-    joint_k uses only the car cost.
+    leg_costs holds what depends on one leg only: the driver leg's and the
+    rider leg's cheapest_other_mot costs and the rider leg's car cost. When
+    None they are computed here, so a caller that precomputes them gets the
+    same float; joint_k uses only the car cost.
     """
+    if leg_costs is None:
+        leg_costs = (
+            cheapest_other_mot(driver, d_i.loc, d_j.loc, d_i.earliest_departure_s,
+                               d_j.latest_arrival_s, mots, costs)[1],
+            cheapest_other_mot(rider, r_i.loc, r_j.loc, r_i.earliest_departure_s,
+                               r_j.latest_arrival_s, mots, costs)[1],
+            leg_cost(r_i.loc, r_j.loc, CAR, mots, costs),
+        )
     if joint_k:
         other = min(
             _penalized_cost(driver.allowed_mots, d_i.loc, d_j.loc,
@@ -345,20 +340,9 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
                               k, mots, costs)
             for k in OTHER_MOTS if k in mots
         )
-    elif leg_costs is not None:
+    else:
         other = leg_costs[0] + leg_costs[1]
-    else:
-        _, other_d = cheapest_other_mot(driver, d_i.loc, d_j.loc,
-                                        d_i.earliest_departure_s,
-                                        d_j.latest_arrival_s, mots, costs)
-        _, other_r = cheapest_other_mot(rider, r_i.loc, r_j.loc,
-                                        r_i.earliest_departure_s,
-                                        r_j.latest_arrival_s, mots, costs)
-        other = other_d + other_r
-    if leg_costs is not None:
-        car = leg_costs[2]
-    else:
-        car = leg_cost(r_i.loc, r_j.loc, CAR, mots, costs)
+    car = leg_costs[2]
     if d_i.loc != r_i.loc:
         car += leg_cost(d_i.loc, r_i.loc, CAR, mots, costs)
     if r_j.loc != d_j.loc:

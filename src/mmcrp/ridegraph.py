@@ -49,9 +49,10 @@ class Caps:
 class TripVariant:
     """One enumerated depot-to-depot trip with its ride-share insertions.
 
-    covered lists (user_id, task_id) pairs: all of the driver's tasks plus,
-    for each share, the real tasks at the rider leg's endpoints. shares lists
-    (driver_leg_index, rider_id, rider_leg_index) triples.
+    covered lists the sorted ids of the tasks it reaches: all of the driver's
+    tasks plus, for each share, the real tasks at the rider leg's endpoints
+    (each id once). shares lists (driver_leg_index, rider_id,
+    rider_leg_index) triples.
     """
 
     id: int
@@ -61,7 +62,7 @@ class TripVariant:
     depart_s: int
     arrive_s: int
     saving_eur: float
-    covered: tuple[tuple[int, int], ...]
+    covered: tuple[int, ...]
     shares: tuple[tuple[int, int, int], ...]
 
 
@@ -263,7 +264,7 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
             shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
             options.append([base] + shares)
 
-        own_tasks = {(driver.user_id, t.id) for t in driver.tasks}
+        own_tasks = {t.id for t in driver.tasks}
         variants: list[TripVariant] = []
         max_v = caps.max_variants_per_user
         max_s = caps.max_shares_per_trip
@@ -291,8 +292,7 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
 
 
 def _make_variant(driver: UserTrip, combo: Sequence[_LegOption],
-                  own_tasks: set[tuple[int, int]],
-                  variant_id: int) -> TripVariant:
+                  own_tasks: set[int], variant_id: int) -> TripVariant:
     covered = set(own_tasks)
     shares: list[tuple[int, int, int]] = []
     for leg_idx, opt in enumerate(combo):
@@ -300,8 +300,8 @@ def _make_variant(driver: UserTrip, combo: Sequence[_LegOption],
             continue
         shares.append((leg_idx, opt.rider_id, opt.rider_leg))
         # _rider_legs drops every leg with a depot end
-        covered.add((opt.rider_id, opt.rider_u.id))
-        covered.add((opt.rider_id, opt.rider_v.id))
+        covered.add(opt.rider_u.id)
+        covered.add(opt.rider_v.id)
     return TripVariant(
         id=variant_id,
         driver=driver.user_id,
@@ -412,9 +412,8 @@ def _assemble(depot_ids: Sequence[int], sigma: int, tau: int,
 
     edges: list[Edge] = []
     for tail, head, var in rides:
-        covered = tuple(sorted({task for _, task in var.covered}))
         edges.append(Edge(len(edges), index[tail], index[head], RIDE,
-                          var.saving_eur, var.id, covered))
+                          var.saving_eur, var.id, var.covered))
     for d in depot_ids:
         times = sorted({t for dd, t in keys if dd == d})
         for t0, t1 in zip(times[:-1], times[1:]):

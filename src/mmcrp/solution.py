@@ -15,23 +15,26 @@ class Route:
     """One vehicle's day: depot-to-depot rides in time order (may be empty).
 
     The same record serves as a priced candidate, a master column and a plan
-    route. covered is the sorted multiset of the (user, task) pairs its
-    variants cover: a task touched by two rides appears twice. dummy marks
-    the master's relocation columns."""
+    route. covered is the sorted multiset of the task ids its variants
+    cover: a task touched by two rides appears twice. dummy marks the
+    master's relocation columns."""
 
     start_depot: int
     end_depot: int
     variant_ids: tuple[int, ...]
-    covered: tuple[tuple[int, int], ...]
+    covered: tuple[int, ...]
     saving_eur: float
     dummy: bool = False
 
 
 @dataclass
 class Plan:
+    """A decoded solution: its routes, the ids of the tasks they cover, and
+    the cheapest-other fallback of every task they leave uncovered."""
+
     routes: list[Route]
     total_saving: float
-    covered: frozenset[tuple[int, int]]
+    covered: frozenset[int]
     uncovered: dict[int, tuple[str, float]]
     rides_per_car: float
     shares_per_ride: float
@@ -39,7 +42,7 @@ class Plan:
 
 
 def fallback_assignment(instance: Instance,
-                        covered_tasks: set[int]) -> dict[int, tuple[str, float]]:
+                        covered_tasks: frozenset[int]) -> dict[int, tuple[str, float]]:
     """Cheapest-other annotation for every task not reached by a car: the mode
     and cost of the leg arriving at the task from its predecessor."""
     out: dict[int, tuple[str, float]] = {}
@@ -59,12 +62,7 @@ def fallback_assignment(instance: Instance,
 def build_plan(instance: Instance, variants: Mapping[int, TripVariant],
                routes: Iterable[Route]) -> Plan:
     routes = list(routes)
-    covered: set[tuple[int, int]] = set()
-    for r in routes:
-        for vid in r.variant_ids:
-            covered.update(variants[vid].covered)
-    task_ids = {t for _, t in covered}
-
+    covered = frozenset(t for r in routes for t in r.covered)
     n_rides = sum(len(r.variant_ids) for r in routes)
     n_shares = sum(len(variants[vid].shares)
                    for r in routes for vid in r.variant_ids)
@@ -72,8 +70,8 @@ def build_plan(instance: Instance, variants: Mapping[int, TripVariant],
     return Plan(
         routes=routes,
         total_saving=sum(r.saving_eur for r in routes),
-        covered=frozenset(covered),
-        uncovered=fallback_assignment(instance, task_ids),
+        covered=covered,
+        uncovered=fallback_assignment(instance, covered),
         rides_per_car=n_rides / fleet if fleet else 0.0,
         shares_per_ride=n_shares / n_rides if n_rides else 0.0,
         uses_dummy=any(r.dummy for r in routes),

@@ -14,8 +14,8 @@ SIGMA = 6 * 3600
 TAU = 20 * 3600
 
 
-def make_task(task_id, owner, seq, x, y, latest_arrival, duration=1800):
-    return Task(task_id, owner, seq, Location(x, y), latest_arrival,
+def make_task(task_id, x, y, latest_arrival, duration=1800):
+    return Task(task_id, Location(x, y), latest_arrival,
                 latest_arrival + duration)
 
 

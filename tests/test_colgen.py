@@ -102,7 +102,7 @@ def test_reduced_saving_matches_dot_product():
     for cand in res.candidates[:20]:
         route = cand.route
         want = route.saving_eur
-        want -= sum(duals.alpha.get(t, 0.0) for _, t in route.covered)
+        want -= sum(duals.alpha.get(t, 0.0) for t in route.covered)
         want -= duals.beta.get(route.start_depot, 0.0)
         want -= duals.delta.get(route.end_depot, 0.0)
         assert reduced_saving(route, duals) == pytest.approx(want, abs=1e-9)
@@ -125,7 +125,7 @@ def test_price_on_chains_only_graph():
 def test_price_single_positive_edge():
     inst = make_instance(
         [(0.0, 0.0)],
-        [(0, 0, ALL_MOTS, [make_task(0, 0, 1, 6.0, 6.0, SIGMA + 3600)])],
+        [(0, 0, ALL_MOTS, [make_task(0, 6.0, 6.0, SIGMA + 3600)])],
         vehicles=(1,),
     )
     g = build_graph(inst, enumerate_variants(inst))
@@ -230,6 +230,19 @@ def test_early_stop_limits_iterations():
     assert r.lp_bound >= r.ip_value - 1e-6
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_time_limit_stops_like_one_iteration(seed):
+    # a limit this small is hit after the first pricing round
+    inst, g = small_graph(seed=seed)
+    r = run(inst, graph=g, limits=CgLimits(time_limit_s=1e-9))
+    assert r.iterations == 1
+    assert not r.converged
+    one = run(inst, graph=g, limits=CgLimits(early_stop_iterations=1))
+    assert (r.lp_bound, r.ip_value, r.routes) == \
+        (one.lp_bound, one.ip_value, one.routes)
+    assert r.lp_bound >= r.ip_value - 1e-6
+
+
 def test_relaxation_counter_exposed_per_call():
     inst, g = small_graph(seed=1)
     r = run(inst, graph=g)
@@ -258,9 +271,8 @@ def test_plan_stats_recompute_from_routes():
         assert plan.shares_per_ride == pytest.approx(n_shares / n_rides)
     assert plan.total_saving == pytest.approx(r.ip_value, abs=1e-6)
     # covered/uncovered partition the task set
-    covered_tasks = {t for _, t in plan.covered}
-    assert covered_tasks.isdisjoint(plan.uncovered)
-    assert covered_tasks | set(plan.uncovered) == {t.id for t in inst.all_tasks()}
+    assert plan.covered.isdisjoint(plan.uncovered)
+    assert plan.covered | set(plan.uncovered) == {t.id for t in inst.all_tasks()}
 
 
 def test_restricted_ip_keeps_integral_lp():

@@ -98,9 +98,8 @@ def test_plan_routes_carry_their_coverage(seed):
         assert any(r.variant_ids for r in plan.routes)
         for r in plan.routes:
             assert r.covered == tuple(sorted(
-                pair for vid in r.variant_ids
-                for pair in g.variants[vid].covered))
-        assert plan.covered == {pair for r in plan.routes for pair in r.covered}
+                t for vid in r.variant_ids for t in g.variants[vid].covered))
+        assert plan.covered == {t for r in plan.routes for t in r.covered}
 
 
 def test_size_guard():

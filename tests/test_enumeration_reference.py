@@ -104,7 +104,7 @@ def ref_last_leg_arrival(instance, du, dv, opt):
 def ref_make_variant(instance, driver, legs, combo, variant_id):
     depart = ref_first_leg_departure(instance, *legs[0], combo[0])
     arrive = ref_last_leg_arrival(instance, *legs[-1], combo[-1])
-    covered = {(driver.user_id, t.id) for t in driver.tasks}
+    covered = {t.id for t in driver.tasks}
     shares = []
     for leg_idx, opt in enumerate(combo):
         if not opt.is_share:
@@ -112,7 +112,7 @@ def ref_make_variant(instance, driver, legs, combo, variant_id):
         shares.append((leg_idx, opt.rider_id, opt.rider_leg))
         for t in (opt.rider_u, opt.rider_v):
             if not t.is_depot_endpoint:
-                covered.add((opt.rider_id, t.id))
+                covered.add(t.id)
     return TripVariant(
         id=variant_id,
         driver=driver.user_id,
@@ -242,7 +242,7 @@ def tight_instance(seed):
                 latest = (tasks[-1].earliest_departure_s + rng.choice([0, 0, 600, 1800])
                           + travel_time(tasks[-1].loc, Location(*nxt), CAR, mots))
                 loc = nxt
-            tasks.append(make_task(next_task, uid, seq, *loc, latest,
+            tasks.append(make_task(next_task, *loc, latest,
                                    duration=rng.choice([0, 1800])))
             next_task += 1
         users.append((rng.choice([0, 1]), rng.choice([0, 1]),

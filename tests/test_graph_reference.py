@@ -78,7 +78,7 @@ def ref_assemble(depot_ids, sigma, tau, ride_specs, variants, extra_nodes=()):
 
     edges = []
     for tail, head, var, saving in ride_specs:
-        covered = tuple(sorted({task for _, task in var.covered}))
+        covered = tuple(sorted(set(var.covered)))
         edges.append(RefEdge(len(edges), index[tail], index[head], REF_RIDE,
                              saving, var.id, covered))
     for d in depot_ids:

@@ -27,7 +27,7 @@ P34 = Location(3.0, 4.0)  # 5 km from the origin
 
 
 def user(allowed=ALL_MOTS, uid=0):
-    t = make_task(0, uid, 1, 0.0, 0.0, SIGMA + 3600)
+    t = make_task(0, 0.0, 0.0, SIGMA + 3600)
     return UserTrip(uid, 0, 0, (t,), frozenset(allowed))
 
 
@@ -120,7 +120,7 @@ def test_cheapest_other_is_min_over_penalized_candidates(mots, costs):
         a = Location(rng.uniform(0, 20), rng.uniform(0, 20))
         b = Location(rng.uniform(0, 20), rng.uniform(0, 20))
         allowed = frozenset([CAR] + [k for k in OTHER_MOTS if rng.random() < 0.6])
-        u = UserTrip(0, 0, 0, (make_task(0, 0, 1, 1, 1, SIGMA + 3600),),
+        u = UserTrip(0, 0, 0, (make_task(0, 1, 1, SIGMA + 3600),),
                      allowed)
         t0 = rng.randrange(SIGMA, TAU - 3600)
         t1 = t0 + rng.randrange(300, 7200)
@@ -148,12 +148,27 @@ def test_ties_break_in_fixed_mode_order(costs):
     assert mot == "walk"
 
 
+def test_mode_table_without_some_modes(mots, costs):
+    # bike would win this leg; without it in the table, public does
+    partial = {k: mots[k] for k in ("car", "walk", "public")}
+    assert cheapest_other_mot(user(), O, P34, 25000, 40000, mots, costs) == \
+        ("bike", pytest.approx(8.54, abs=5e-3))
+    mot, cost = cheapest_other_mot(user(), O, P34, 25000, 40000, partial, costs)
+    assert (mot, cost) == ("public", pytest.approx(8.90, abs=5e-3))
+    # coincident driver and rider legs: no detour, one common mode
+    di, dj = make_task(0, 0.0, 0.0, 23200), make_task(1, 3.0, 4.0, 40000)
+    ri, rj = make_task(2, 0.0, 0.0, 23200), make_task(3, 3.0, 4.0, 40000)
+    u = user()
+    joint = leg_saving_share(u, di, dj, u, ri, rj, partial, costs, joint_k=True)
+    assert joint == cost + cost - leg_cost(O, P34, CAR, partial, costs)
+
+
 # --- savings ----------------------------------------------------------------
 
 def test_plain_saving_zero_length_leg_is_negative(mots, costs):
     u = user()
-    a = make_task(0, 0, 1, 0.0, 0.0, SIGMA + 3600)
-    b = make_task(1, 0, 2, 0.0, 0.0, SIGMA + 7200)
+    a = make_task(0, 0.0, 0.0, SIGMA + 3600)
+    b = make_task(1, 0.0, 0.0, SIGMA + 7200)
     got = leg_saving_plain(u, a, b, mots, costs)
     # walking 0 km is free; the car still pays its 600 s overhead as wages
     assert got == pytest.approx(-(600 / 3600 * 19.42), abs=1e-12)
@@ -162,8 +177,8 @@ def test_plain_saving_zero_length_leg_is_negative(mots, costs):
 
 def test_plain_saving_with_missed_walk_deadline(mots, costs):
     u = user([CAR, "walk"])
-    a = make_task(0, 0, 1, 0.0, 0.0, SIGMA)
-    b = make_task(1, 0, 2, 3.0, 4.0, SIGMA + 1500)  # walk needs ~4000 s
+    a = make_task(0, 0.0, 0.0, SIGMA)
+    b = make_task(1, 3.0, 4.0, SIGMA + 1500)  # walk needs ~4000 s
     got = leg_saving_plain(u, a, b, mots, costs)
     walk = leg_cost(a.loc, b.loc, "walk", mots, costs)
     car = leg_cost(a.loc, b.loc, CAR, mots, costs)
@@ -173,9 +188,9 @@ def test_plain_saving_with_missed_walk_deadline(mots, costs):
 def test_plain_saving_matches_brute_force_min(mots, costs):
     rng = random.Random(5)
     for _ in range(100):
-        a = make_task(0, 0, 1, rng.uniform(0, 20), rng.uniform(0, 20),
+        a = make_task(0, rng.uniform(0, 20), rng.uniform(0, 20),
                       rng.randrange(SIGMA, TAU - 7200))
-        b = make_task(1, 0, 2, rng.uniform(0, 20), rng.uniform(0, 20),
+        b = make_task(1, rng.uniform(0, 20), rng.uniform(0, 20),
                       rng.randrange(SIGMA, TAU - 3600))
         u = user()
         _, other = cheapest_other_mot(u, a.loc, b.loc, a.earliest_departure_s,
@@ -186,10 +201,10 @@ def test_plain_saving_matches_brute_force_min(mots, costs):
 
 def test_share_saving_identical_legs_reduces_to_other_minus_car(mots, costs):
     driver, rider = user(uid=0), user(ALL_MOTS, uid=1)
-    di = make_task(0, 0, 1, 2.0, 2.0, SIGMA + 3600)
-    dj = make_task(1, 0, 2, 8.0, 8.0, SIGMA + 9000)
-    ri = make_task(2, 1, 1, 2.0, 2.0, SIGMA + 3600)
-    rj = make_task(3, 1, 2, 8.0, 8.0, SIGMA + 9000)
+    di = make_task(0, 2.0, 2.0, SIGMA + 3600)
+    dj = make_task(1, 8.0, 8.0, SIGMA + 9000)
+    ri = make_task(2, 2.0, 2.0, SIGMA + 3600)
+    rj = make_task(3, 8.0, 8.0, SIGMA + 9000)
     got = leg_saving_share(driver, di, dj, rider, ri, rj, mots, costs)
     _, other_d = cheapest_other_mot(driver, di.loc, dj.loc,
                                     di.earliest_departure_s, dj.latest_arrival_s,
@@ -203,10 +218,10 @@ def test_share_saving_identical_legs_reduces_to_other_minus_car(mots, costs):
 
 def test_share_saving_shared_destination_has_pickup_detour_only(mots, costs):
     driver, rider = user(uid=0), user(ALL_MOTS, uid=1)
-    di = make_task(0, 0, 1, 0.0, 0.0, SIGMA + 3600)
-    dj = make_task(1, 0, 2, 8.0, 8.0, SIGMA + 12000)
-    ri = make_task(2, 1, 1, 2.0, 0.0, SIGMA + 4800)
-    rj = make_task(3, 1, 2, 8.0, 8.0, SIGMA + 12000)  # same spot as dj
+    di = make_task(0, 0.0, 0.0, SIGMA + 3600)
+    dj = make_task(1, 8.0, 8.0, SIGMA + 12000)
+    ri = make_task(2, 2.0, 0.0, SIGMA + 4800)
+    rj = make_task(3, 8.0, 8.0, SIGMA + 12000)  # same spot as dj
     got = leg_saving_share(driver, di, dj, rider, ri, rj, mots, costs)
     _, other_d = cheapest_other_mot(driver, di.loc, dj.loc,
                                     di.earliest_departure_s, dj.latest_arrival_s,
@@ -224,10 +239,10 @@ def test_share_saving_distinct_endpoints_term_by_term(mots, costs):
     rng = random.Random(11)
     for _ in range(60):
         pts = [Location(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(4)]
-        di = Task(0, 0, 1, pts[0], SIGMA + 1000, SIGMA + 3000)
-        dj = Task(1, 0, 2, pts[1], SIGMA + 20000, SIGMA + 22000)
-        ri = Task(2, 1, 1, pts[2], SIGMA + 2000, SIGMA + 4000)
-        rj = Task(3, 1, 2, pts[3], SIGMA + 15000, SIGMA + 17000)
+        di = Task(0, pts[0], SIGMA + 1000, SIGMA + 3000)
+        dj = Task(1, pts[1], SIGMA + 20000, SIGMA + 22000)
+        ri = Task(2, pts[2], SIGMA + 2000, SIGMA + 4000)
+        rj = Task(3, pts[3], SIGMA + 15000, SIGMA + 17000)
         driver, rider = user(uid=0), user(ALL_MOTS, uid=1)
         got = leg_saving_share(driver, di, dj, rider, ri, rj, mots, costs)
         _, od = cheapest_other_mot(driver, di.loc, dj.loc, di.earliest_departure_s,
@@ -244,10 +259,10 @@ def test_share_saving_distinct_endpoints_term_by_term(mots, costs):
 
 def test_share_saving_joint_mode_flag(mots, costs):
     driver, rider = user([CAR, "walk", "taxi"], 0), user([CAR, "bike"], 1)
-    di = make_task(0, 0, 1, 0.0, 0.0, SIGMA + 3600)
-    dj = make_task(1, 0, 2, 6.0, 0.0, SIGMA + 12000)
-    ri = make_task(2, 1, 1, 1.0, 1.0, SIGMA + 4800)
-    rj = make_task(3, 1, 2, 5.0, 1.0, SIGMA + 10000)
+    di = make_task(0, 0.0, 0.0, SIGMA + 3600)
+    dj = make_task(1, 6.0, 0.0, SIGMA + 12000)
+    ri = make_task(2, 1.0, 1.0, SIGMA + 4800)
+    rj = make_task(3, 5.0, 1.0, SIGMA + 10000)
     per_leg = leg_saving_share(driver, di, dj, rider, ri, rj, mots, costs)
     joint = leg_saving_share(driver, di, dj, rider, ri, rj, mots, costs,
                              joint_k=True)
@@ -259,19 +274,19 @@ def test_penalty_monotonicity(mots):
     rng = random.Random(23)
     lo, hi = CostParams(penalty_eur=100.0), CostParams(penalty_eur=10000.0)
     for _ in range(60):
-        a = make_task(0, 0, 1, rng.uniform(0, 20), rng.uniform(0, 20),
+        a = make_task(0, rng.uniform(0, 20), rng.uniform(0, 20),
                       rng.randrange(SIGMA, TAU - 9000))
-        b = make_task(1, 0, 2, rng.uniform(0, 20), rng.uniform(0, 20),
+        b = make_task(1, rng.uniform(0, 20), rng.uniform(0, 20),
                       rng.randrange(SIGMA, TAU - 5000))
         allowed = frozenset([CAR] + [k for k in OTHER_MOTS if rng.random() < 0.5])
-        u = UserTrip(0, 0, 0, (make_task(9, 0, 1, 1, 1, SIGMA + 3600),), allowed)
+        u = UserTrip(0, 0, 0, (make_task(9, 1, 1, SIGMA + 3600),), allowed)
         assert leg_saving_plain(u, a, b, mots, hi) >= \
             leg_saving_plain(u, a, b, mots, lo) - 1e-9
-        ri = make_task(2, 1, 1, rng.uniform(0, 20), rng.uniform(0, 20),
+        ri = make_task(2, rng.uniform(0, 20), rng.uniform(0, 20),
                        rng.randrange(SIGMA, TAU - 9000))
-        rj = make_task(3, 1, 2, rng.uniform(0, 20), rng.uniform(0, 20),
+        rj = make_task(3, rng.uniform(0, 20), rng.uniform(0, 20),
                        rng.randrange(SIGMA, TAU - 5000))
-        r = UserTrip(1, 0, 0, (make_task(8, 1, 1, 1, 1, SIGMA + 3600),), allowed)
+        r = UserTrip(1, 0, 0, (make_task(8, 1, 1, SIGMA + 3600),), allowed)
         assert leg_saving_share(u, a, b, r, ri, rj, mots, hi) >= \
             leg_saving_share(u, a, b, r, ri, rj, mots, lo) - 1e-9
 
@@ -301,6 +316,6 @@ def test_mot_params_invariants():
 
 
 def test_task_validation():
-    bad = Task(0, 0, 1, O, SIGMA + 100, SIGMA + 50)
+    bad = Task(0, O, SIGMA + 100, SIGMA + 50)
     with pytest.raises(ValidationError):
         bad.validate()

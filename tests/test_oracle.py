@@ -17,7 +17,7 @@ def test_zero_vehicles_zero_saving():
 def test_single_vehicle_single_positive_edge():
     inst = make_instance(
         [(0.0, 0.0)],
-        [(0, 0, ALL_MOTS, [make_task(0, 0, 1, 6.0, 6.0, SIGMA + 3600)])],
+        [(0, 0, ALL_MOTS, [make_task(0, 6.0, 6.0, SIGMA + 3600)])],
         vehicles=(1,),
     )
     vs = enumerate_variants(inst)

@@ -51,12 +51,12 @@ def two_user_instance(offset_km=0.0, rider_shift_s=0):
         [(0.0, 0.0), (15.0, 15.0)],
         [
             (0, 0, ALL_MOTS, [
-                make_task(0, 0, 1, 2.0, 2.0, SIGMA + 3600),
-                make_task(1, 0, 2, 8.0, 8.0, SIGMA + 4 * 3600),
+                make_task(0, 2.0, 2.0, SIGMA + 3600),
+                make_task(1, 8.0, 8.0, SIGMA + 4 * 3600),
             ]),
             (0, 0, ALL_MOTS, [
-                make_task(2, 1, 1, 2.0 + offset_km, 2.0, SIGMA + 3600 + rider_shift_s),
-                make_task(3, 1, 2, 8.0 + offset_km, 8.0, SIGMA + 4 * 3600 + rider_shift_s),
+                make_task(2, 2.0 + offset_km, 2.0, SIGMA + 3600 + rider_shift_s),
+                make_task(3, 8.0 + offset_km, 8.0, SIGMA + 4 * 3600 + rider_shift_s),
             ]),
         ],
     )
@@ -72,13 +72,13 @@ def test_rider_deadline_before_possible_arrival_is_infeasible():
         [(0.0, 0.0), (15.0, 15.0)],
         [
             (0, 0, ALL_MOTS, [
-                make_task(0, 0, 1, 2.0, 2.0, SIGMA + 3600),
-                make_task(1, 0, 2, 8.0, 8.0, SIGMA + 6 * 3600),
+                make_task(0, 2.0, 2.0, SIGMA + 3600),
+                make_task(1, 8.0, 8.0, SIGMA + 6 * 3600),
             ]),
             (0, 0, ALL_MOTS, [
-                make_task(2, 1, 1, 9.0, 2.0, SIGMA + 3600),
+                make_task(2, 9.0, 2.0, SIGMA + 3600),
                 # 9 km away but due a minute after the rider may depart
-                make_task(3, 1, 2, 18.0, 2.0, SIGMA + 3660 + 1800),
+                make_task(3, 18.0, 2.0, SIGMA + 3660 + 1800),
             ]),
         ],
     )
@@ -109,14 +109,14 @@ def test_feasible_share_matches_timeline_oracle():
 def test_single_user_yields_base_variant_only():
     inst = make_instance(
         [(0.0, 0.0)],
-        [(0, 0, ALL_MOTS, [make_task(0, 0, 1, 5.0, 5.0, SIGMA + 3600)])],
+        [(0, 0, ALL_MOTS, [make_task(0, 5.0, 5.0, SIGMA + 3600)])],
         vehicles=(1,),
     )
     vs = enumerate_variants(inst)
     assert len(vs.all) == 1
     v = vs.all[0]
     assert v.shares == ()
-    assert v.covered == ((0, 0),)
+    assert v.covered == (0,)
 
 
 def test_identical_legs_create_joint_variant():
@@ -125,7 +125,7 @@ def test_identical_legs_create_joint_variant():
     joint = [v for v in vs.by_user[0] if v.shares]
     assert joint, "driver should gain a ride-share variant"
     covered = {c for v in joint for c in v.covered}
-    assert (1, 2) in covered and (1, 3) in covered
+    assert 2 in covered and 3 in covered
 
 
 def exhaustive_enumerator(inst, caps):
@@ -172,7 +172,7 @@ def test_variant_fields_and_saving_identity():
     for v in vs.all:
         assert inst.sigma_s <= v.depart_s < v.arrive_s <= inst.tau_s
         driver = inst.user(v.driver)
-        assert {(v.driver, t.id) for t in driver.tasks} <= set(v.covered)
+        assert {t.id for t in driver.tasks} <= set(v.covered)
         recomputed = sum(variant_leg_savings(inst, v))
         assert abs(recomputed - v.saving_eur) <= 1e-9
 
@@ -205,7 +205,7 @@ def five_user_instance():
     for i in range(5):
         x = 2.0 + 3.5 * i
         users.append((i % 2, i % 2, ALL_MOTS,
-                      [make_task(i, i, 1, x, 0.5 + 2.9 * i,
+                      [make_task(i, x, 0.5 + 2.9 * i,
                                  SIGMA + 3600 + 900 * i, 1800)]))
     return make_instance([(0.0, 0.0), (18.0, 18.0)], users)
 
