@@ -2,9 +2,10 @@
 baseline comparisons.
 
 Exit codes: 0 success (including flagged partial results on a time limit),
-1 I/O error or solver failure, 2 usage error. MMCRP_LOG=info (or debug)
-logs the file gen wrote and one line per fleet size of sweep. Results are
-written as JSON plus CSV; plotting is left to external tools."""
+1 OS error, malformed instance or solver failure, 2 usage error.
+MMCRP_LOG=info (or debug) logs the file gen wrote and one line per fleet size
+of sweep. Results are written as JSON plus CSV; plotting is left to external
+tools."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from . import colgen, edgeform, milp
 from .instgen import GenParams, GenerationError, InstanceFormatError, \
     generate, read_instance, write_instance
 from .model import Instance
-from .ridegraph import Caps, build_graph, dump_edges, enumerate_variants
+from .ridegraph import Caps, GraphConstructionError, build_graph, dump_edges, \
+    enumerate_variants
 
 log = logging.getLogger("mmcrp")
 
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a benchmark instance")
     g.add_argument("--users", type=int, required=True)
-    g.add_argument("--depots", type=int, default=2)
+    g.add_argument("--depots", type=_at_least(1), default=2)
     g.add_argument("--vehicles", type=int, default=4,
                    help="total fleet, split equally over depots")
     g.add_argument("--seed", type=int, default=0)
@@ -319,10 +321,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InstanceFormatError as exc:
+    except (InstanceFormatError, GraphConstructionError) as exc:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
         return 1
     except GenerationError as exc:

@@ -26,7 +26,6 @@ from .model import (
     MotParams,
     Task,
     UserTrip,
-    ValidationError,
     default_mots,
     travel_time,
 )
@@ -240,85 +239,69 @@ def write_instance(instance: Instance, path):
         fh.write("\n")
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise InstanceFormatError(f"{where}: missing key '{key}'")
-    return mapping[key]
-
-
 def instance_from_dict(doc: dict) -> Instance:
-    horizon = _require(doc, "horizon", "instance")
-    sigma = int(_require(horizon, "sigma_s", "horizon"))
-    tau = int(_require(horizon, "tau_s", "horizon"))
+    """Build and validate an instance from its JSON document.
 
-    mots: dict[str, MotParams] = {}
-    for i, entry in enumerate(_require(doc, "mots", "instance")):
-        name = _require(entry, "mot", f"mots[{i}]")
-        kwargs = {f: _require(entry, f, f"mots[{i}]") for f in _MOT_FIELDS}
-        try:
-            mots[name] = MotParams(name, **kwargs)
-        except ValidationError as exc:
-            raise InstanceFormatError(f"mots[{i}]: {exc}") from exc
-
-    costs_doc = _require(doc, "costs", "instance")
-    costs = CostParams(
-        wage_eur_per_h=_require(costs_doc, "wage_eur_per_h", "costs"),
-        co2_eur_per_t=_require(costs_doc, "co2_eur_per_t", "costs"),
-        penalty_eur=_require(costs_doc, "penalty_eur", "costs"),
-    )
-
-    depots = []
-    for i, entry in enumerate(_require(doc, "depots", "instance")):
-        where = f"depots[{i}]"
-        depots.append(Depot(
-            int(_require(entry, "id", where)),
-            Location(float(_require(entry, "x_km", where)),
-                     float(_require(entry, "y_km", where))),
-            int(_require(entry, "vehicles_start", where)),
-            int(_require(entry, "vehicles_end", where)),
-        ))
-
-    users = []
-    next_task = 0
-    for i, entry in enumerate(_require(doc, "users", "instance")):
-        where = f"users[{i}]"
-        user_id = int(_require(entry, "id", where))
-        tasks = []
-        for j, tdoc in enumerate(_require(entry, "tasks", where)):
-            twhere = f"{where}.tasks[{j}]"
-            task = Task(
-                next_task,
-                Location(float(_require(tdoc, "x_km", twhere)),
-                         float(_require(tdoc, "y_km", twhere))),
-                int(_require(tdoc, "latest_arrival_s", twhere)),
-                int(_require(tdoc, "earliest_departure_s", twhere)),
-            )
-            try:
-                task.validate()
-            except ValidationError as exc:
-                raise InstanceFormatError(f"{twhere}: {exc}") from exc
-            tasks.append(task)
-            next_task += 1
-        users.append(UserTrip(
-            user_id,
-            int(_require(entry, "start_depot", where)),
-            int(_require(entry, "end_depot", where)),
-            tuple(tasks),
-            frozenset(_require(entry, "allowed_mots", where)),
-        ))
-
-    instance = Instance(tuple(depots), tuple(users), mots, costs, sigma, tau)
+    Every failure is an InstanceFormatError whose message starts with the
+    part being read: instance, horizon, mots[i], costs, depots[i], users[i]
+    or users[i].tasks[j]."""
+    where = "instance"
     try:
+        horizon, mot_docs, costs_doc, depot_docs, user_docs = (
+            doc["horizon"], doc["mots"], doc["costs"], doc["depots"], doc["users"])
+        where = "horizon"
+        sigma, tau = int(horizon["sigma_s"]), int(horizon["tau_s"])
+
+        mots: dict[str, MotParams] = {}
+        for i, entry in enumerate(mot_docs):
+            where = f"mots[{i}]"
+            kwargs = {f: entry[f] for f in _MOT_FIELDS}
+            mots[entry["mot"]] = MotParams(entry["mot"], **kwargs)
+
+        where = "costs"
+        costs = CostParams(costs_doc["wage_eur_per_h"], costs_doc["co2_eur_per_t"],
+                           costs_doc["penalty_eur"])
+
+        depots = []
+        for i, entry in enumerate(depot_docs):
+            where = f"depots[{i}]"
+            depots.append(Depot(int(entry["id"]),
+                                Location(float(entry["x_km"]), float(entry["y_km"])),
+                                int(entry["vehicles_start"]), int(entry["vehicles_end"])))
+
+        users = []
+        next_task = 0
+        for i, entry in enumerate(user_docs):
+            where = f"users[{i}]"
+            user_id, start, end = (int(entry["id"]), int(entry["start_depot"]),
+                                   int(entry["end_depot"]))
+            allowed = frozenset(entry["allowed_mots"])
+            tasks = []
+            for j, tdoc in enumerate(entry["tasks"]):
+                where = f"users[{i}].tasks[{j}]"
+                task = Task(next_task,
+                            Location(float(tdoc["x_km"]), float(tdoc["y_km"])),
+                            int(tdoc["latest_arrival_s"]),
+                            int(tdoc["earliest_departure_s"]))
+                task.validate()
+                tasks.append(task)
+                next_task += 1
+            users.append(UserTrip(user_id, start, end, tuple(tasks), allowed))
+
+        where = "instance"
+        instance = Instance(tuple(depots), tuple(users), mots, costs, sigma, tau)
         instance.validate()
-    except ValidationError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    except KeyError as exc:
+        raise InstanceFormatError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
     return instance
 
 
 def read_instance(path) -> Instance:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad bytes, text or nesting
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
     return instance_from_dict(doc)

@@ -35,7 +35,6 @@ TOL_INT = 1e-6
 
 _TOL_PRICE = 1e-9
 _TOL_PIVOT = 1e-10
-_REFACTOR_EVERY = 120
 _MAX_ITER = 200000
 _MAX_REPAIR_ITER = 20000
 
@@ -352,7 +351,6 @@ class _Simplex:
         abs_c = np.abs(c)
         degen_streak = 0
         bland = False
-        since_refactor = 0
         tol_boost = 1.0
         while True:
             self.iterations += 1
@@ -418,12 +416,6 @@ class _Simplex:
                                else self.ub[leaving])
             if not self._pivot(leave_pos, j, w):
                 continue
-
-            since_refactor += 1
-            if since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                self._recompute_basics()
-                since_refactor = 0
 
             if t <= 1e-10:
                 degen_streak += 1

@@ -42,6 +42,9 @@ class MotParams:
     emission_t_per_km: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.speed_kmh, self.extra_time_s, self.sloping,
+                                       self.per_km_cost_eur, self.emission_t_per_km))):
+            raise ValidationError(f"mot '{self.mot}': parameters must be finite")
         if self.speed_kmh <= 0:
             raise ValidationError(f"mot '{self.mot}': speed_kmh must be > 0")
         if self.sloping < 1.0:
@@ -59,8 +62,9 @@ class CostParams:
     penalty_eur: float = 10000.0
 
     def __post_init__(self):
-        if min(self.wage_eur_per_h, self.co2_eur_per_t, self.penalty_eur) < 0:
-            raise ValidationError("cost parameters must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in
+                   (self.wage_eur_per_h, self.co2_eur_per_t, self.penalty_eur)):
+            raise ValidationError("cost parameters must be finite and nonnegative")
 
 
 def default_mots(car_emission_t_per_km: float = 0.0002) -> dict[str, MotParams]:
@@ -178,6 +182,8 @@ class Instance:
             raise ValidationError("horizon: sigma_s must be < tau_s")
         if CAR not in self.mots:
             raise ValidationError("mot table must contain 'car'")
+        if not self.depots:
+            raise ValidationError("at least one depot is required")
         depot_ids = {d.id for d in self.depots}
         if len(depot_ids) != len(self.depots):
             raise ValidationError("duplicate depot ids")

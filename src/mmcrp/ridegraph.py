@@ -74,7 +74,9 @@ class EnumStats:
     for every leg of every driver, each leg of every other user, depot legs
     included. Pairs dismissed without a timeline simulation, by the
     time-window bound or because the rider leg has a depot end, still count,
-    so the figure depends on the instance alone.
+    so the figure depends on the instance alone. The legs of a driver who
+    gets no variant, because the car cannot drive one of them on time, are
+    not counted.
     """
 
     n_variants: int = 0
@@ -201,7 +203,9 @@ def _rider_legs(instance: Instance,
 def enumerate_variants(instance: Instance, caps: Caps = None,
                        joint_k: bool = False) -> VariantSet:
     """Enumerate, per user, the share-free base trip plus every capped
-    combination of feasible one-rider-per-leg insertions.
+    combination of feasible one-rider-per-leg insertions. A user with a leg
+    the car cannot drive on time, leaving at the leg's earliest departure,
+    gets no variant: their tasks fall back to other modes.
 
     Variants are emitted deterministically: the base variant first, then the
     cross product of per-leg options with higher-saving options preferred
@@ -235,11 +239,15 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
 
     for driver in instance.users:
         legs = legs_of[driver.user_id]
+        car_s = [travel_time(du.loc, dv.loc, CAR, mots) for du, dv in legs]
+        if any(du.earliest_departure_s + tt > dv.latest_arrival_s
+               for (du, dv), tt in zip(legs, car_s)):
+            by_user[driver.user_id] = []
+            continue
         fallback = fallback_of[driver.user_id]
         options: list[list[_LegOption]] = []
-        for leg_idx, (du, dv) in enumerate(legs):
+        for leg_idx, ((du, dv), tt) in enumerate(zip(legs, car_s)):
             first = leg_idx == 0
-            tt = travel_time(du.loc, dv.loc, CAR, mots)
             base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs),
                               du.earliest_departure_s + tt,
                               dv.latest_arrival_s - tt if first else None)

@@ -1,16 +1,62 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mmcrp import cli, colgen, milp
+import mmcrp
+from mmcrp import cli, colgen, edgeform, milp
 from mmcrp.cli import main, split_fleet
-from mmcrp.instgen import read_instance
+from mmcrp.instgen import SIGMA_S, GenParams, generate, instance_to_dict, \
+    read_instance
+from mmcrp.model import trip_legs
 from mmcrp.ridegraph import Caps, build_graph, dump_edges, enumerate_variants
+
+SRC = Path(mmcrp.__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_entry(*argv, cwd):
+    """Runs `python -m mmcrp` in a fresh interpreter, as the console entry
+    point does; returns the exit code and stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "mmcrp", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def write_probes(directory: Path):
+    """Writes the bad-input probes: the two-user instance of generator seed
+    0 as it is and with one field replaced, and a file that is not text."""
+    doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))
+    (directory / "two_users.json").write_text(json.dumps(doc))
+    for name, field, value in [
+            ("number.json", (), 5),
+            ("speed_text.json", ("mots", 0, "speed_kmh"), "fast"),
+            ("user_number.json", ("users", 0), 7),
+            ("task_nan.json", ("users", 0, "tasks", 0, "x_km"), math.nan),
+            ("task_inf.json", ("users", 0, "tasks", 0, "latest_arrival_s"), 1e400),
+            # the car cannot reach user 0's first task from the depot in time
+            ("late_task.json", ("users", 0, "tasks", 0, "latest_arrival_s"),
+             SIGMA_S + 5)]:
+        doc = json.loads((directory / "two_users.json").read_text())
+        if field:
+            target = doc
+            for key in field[:-1]:
+                target = target[key]
+            target[field[-1]] = value
+        else:
+            doc = value
+        (directory / name).write_text(json.dumps(doc))
+    (directory / "binary.json").write_bytes(bytes(range(256)))
 
 
 def test_split_fleet():
@@ -97,6 +143,55 @@ def test_malformed_instance_is_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"horizon": {}}')
     assert run_cli("solve", str(bad)) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("solve number.json", 1),
+    ("solve speed_text.json", 1),
+    ("solve user_number.json", 1),
+    ("solve task_nan.json", 1),
+    ("solve binary.json", 1),
+    ("solve .", 1),
+    ("solve late_task.json", 0),
+    ("gen --users 3 --depots 0", 2),
+])
+def test_bad_input_ends_without_traceback(tmp_path, argv, code):
+    write_probes(tmp_path)
+    rc, err = run_entry(*argv.split(), cwd=tmp_path)
+    assert rc == code
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    "solve task_inf.json",                          # int() of an infinity
+    "solve two_users.json --out number.json/out",   # NotADirectoryError
+])
+def test_more_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv):
+    write_probes(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv.split()) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_task_the_car_cannot_reach_falls_back(tmp_path):
+    write_probes(tmp_path)
+    path = tmp_path / "late_task.json"
+    instance = read_instance(path)
+    variants = enumerate_variants(instance)
+    assert variants.by_user[0] == [] and variants.by_user[1]
+    # user 0's legs are not counted
+    n_legs = [len(trip_legs(instance, u)) for u in instance.users]
+    assert variants.stats.feasibility_checks == n_legs[1] * n_legs[0]
+    own = {t.id for t in instance.user(0).tasks}
+    graph = build_graph(instance, variants)
+    assert own <= set(colgen.run(instance, graph=graph).plan.uncovered)
+    assert own <= set(edgeform.solve_edge(graph, instance).plan.uncovered)
+    assert run_cli("solve", str(path)) == 0
+    assert run_cli("solve", str(path), "--edge") == 0
 
 
 def test_unknown_scheme_is_usage_error(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mmcrp.instgen import (
@@ -86,10 +88,41 @@ def test_task_window_violation_is_reported():
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    (("horizon",), {"sigma_s": 0}, "horizon: missing key 'tau_s'"),
+    (("horizon", "tau_s"), 0, "instance: horizon: sigma_s must be < tau_s"),
+    (("depots",), [], "instance: at least one depot is required"),
+    (("mots", 1), {"mot": "walk"}, "mots[1]: missing key 'speed_kmh'"),
+    (("mots", 0, "speed_kmh"), math.nan, "mots[0]: mot 'bike': parameters must be finite"),
+    (("costs", "wage_eur_per_h"), "high", "costs: "),
+    (("costs", "penalty_eur"), math.inf, "costs: cost parameters must be finite"),
+    (("depots", 1, "x_km"), None, "depots[1]: "),
+    (("users", 1, "start_depot"), "a", "users[1]: invalid literal"),
+    (("users", 0, "tasks", 1, "y_km"), [], "users[0].tasks[1]: "),
+    (("users", 1, "allowed_mots"), [["car"]], "users[1]: unhashable"),
+])
+def test_malformed_field_is_named(field, value, message):
+    doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    with pytest.raises(InstanceFormatError) as exc:
+        instance_from_dict(doc)
+    assert str(exc.value).startswith(message)
+
+
 def test_malformed_json_is_an_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(InstanceFormatError):
+        read_instance(p)
+
+
+def test_bytes_that_are_not_text_are_not_json(tmp_path):
+    p = tmp_path / "binary.json"
+    p.write_bytes(b'{"horizon": \xff}')
+    with pytest.raises(InstanceFormatError, match="not valid JSON"):
         read_instance(p)
 
 

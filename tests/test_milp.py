@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mmcrp import milp
 from mmcrp.milp import (
     EQ,
     LE,
@@ -116,6 +117,46 @@ def test_warm_start_after_adding_columns():
     warm = solve_lp(p, state=s1.state)
     cold = solve_lp(p)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.objective, a.iterations) == (b.status, b.objective, b.iterations)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.duals, b.duals)
+    assert np.array_equal(a.state.basis, b.state.basis)
+    assert np.array_equal(a.state.vstat, b.state.vstat)
+    assert np.array_equal(a.state.binv, b.state.binv)
+
+
+def test_state_of_a_wider_problem_falls_back_cold():
+    rng = np.random.default_rng(3)
+    wide = random_lp(rng, m=4, n=5)
+    narrow = MilpProblem(wide.rows)
+    for j in range(wide.n_cols - 1):
+        narrow.add_column(wide.objective[j], wide.col_entries[j])
+    state = solve_lp(wide).state
+    assert milp._Simplex(narrow).load_state(state) == "fail"
+    warm = solve_lp(narrow, state=state)
+    assert warm.status == "optimal"
+    assert_same_solution(warm, solve_lp(narrow))
+
+
+def test_failed_dual_repair_falls_back_cold(monkeypatch):
+    rng = np.random.default_rng(3)
+    p = random_lp(rng, m=4, n=4)
+    root = solve_lp(p)
+    j = int(np.argmax(root.x))
+    bounds = {j: (0.0, root.x[j] / 2)}          # cuts the root optimum off
+    repairs = []
+
+    def fail(self):
+        repairs.append(self)
+        return "fail"
+
+    monkeypatch.setattr(milp._Simplex, "dual_repair", fail)
+    warm = solve_lp(p, state=root.state, bounds=bounds)
+    assert len(repairs) == 1
+    assert warm.status == "optimal"
+    assert_same_solution(warm, solve_lp(p, bounds=bounds))
 
 
 def test_ip_integral_relaxation_returned_unchanged():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -313,6 +314,12 @@ def test_mot_params_invariants():
         MotParams("car", 30.0, 600, 0.9, 0.188)
     with pytest.raises(ValidationError):
         MotParams("car", 30.0, -1, 1.3, 0.188)
+    with pytest.raises(ValidationError):
+        MotParams("car", math.nan, 600, 1.3, 0.188)
+    with pytest.raises(ValidationError):
+        MotParams("car", 30.0, math.inf, 1.3, 0.188)
+    with pytest.raises(ValidationError):
+        CostParams(wage_eur_per_h=math.nan)
 
 
 def test_task_validation():
