@@ -187,6 +187,8 @@ class Instance:
         depot_ids = {d.id for d in self.depots}
         if len(depot_ids) != len(self.depots):
             raise ValidationError("duplicate depot ids")
+        if len({u.user_id for u in self.users}) != len(self.users):
+            raise ValidationError("duplicate user ids")
         if sum(d.vehicles_start for d in self.depots) != sum(
             d.vehicles_end for d in self.depots
         ):
@@ -209,6 +211,16 @@ class Instance:
                     raise ValidationError(
                         f"task {t.id} of user {u.user_id}: window outside horizon"
                     )
+        # no travel time exceeds the one across the bounding box
+        locs = [d.loc for d in self.depots] + [t.loc for t in self.all_tasks()]
+        xs, ys = [p.x_km for p in locs], [p.y_km for p in locs]
+        low, high = Location(min(xs), min(ys)), Location(max(xs), max(ys))
+        for mot in self.mots:
+            try:
+                travel_time(low, high, mot, self.mots)
+            except OverflowError:
+                raise ValidationError(f"mot '{mot}': travel time across the "
+                                      f"instance is not finite") from None
 
 
 def depot_pseudo_task(depot: Depot, sigma_s: int, tau_s: int,

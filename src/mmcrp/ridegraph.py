@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -100,7 +101,7 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
 
     The rider's leg must connect two of their tasks (depot ends are not
     pick-up or drop-off points); any leg of the driver's trip may host it.
-    See _share_arrival for the timeline.
+    See _share_times for the timeline.
     """
     if driver.user_id == rider.user_id:
         return False
@@ -109,27 +110,27 @@ def feasible_share(instance: Instance, driver: UserTrip, driver_leg: int,
     if ru.is_depot_endpoint or rv.is_depot_endpoint:
         return False  # riders are served between two of their tasks only
     tt_r = travel_time(ru.loc, rv.loc, CAR, instance.mots)
-    return _share_arrival(du, dv, ru, rv, tt_r, instance.mots) is not None
+    return _share_times(du, dv, ru, rv, tt_r, instance.mots) is not None
 
 
-def _share_arrival(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
-                   mots) -> Optional[int]:
-    """Simulate the earliest car timeline of the rider leg (ru, rv), whose
-    car time is tt_r, inside the driver leg (du, dv): leave the leg origin at
-    its earliest departure, detour to the pickup (waiting for the rider if
-    early), drop the rider off by their deadline, then reach the driver's own
-    destination in time. Coincident pickup/drop-off locations skip their
-    detour leg. Returns the arrival at dv, or None if a deadline is missed."""
-    t = du.earliest_departure_s
-    if du.loc != ru.loc:
-        t += travel_time(du.loc, ru.loc, CAR, mots)
-    t = max(t, ru.earliest_departure_s)
-    t += tt_r
+def _share_times(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
+                 mots) -> Optional[tuple[int, int]]:
+    """The car timeline of the rider leg (ru, rv), whose car time is tt_r,
+    inside the driver leg (du, dv): detour to the pickup (waiting for the
+    rider if early), drop the rider off by their deadline, then reach the
+    driver's own destination in time. Coincident pickup/drop-off locations
+    skip their detour leg. Returns the arrival at dv after leaving du at its
+    earliest departure, and the latest departure from du that still meets
+    every deadline; None if leaving at the earliest departure misses one."""
+    to_pickup = 0 if du.loc == ru.loc else travel_time(du.loc, ru.loc, CAR, mots)
+    t = max(du.earliest_departure_s + to_pickup, ru.earliest_departure_s) + tt_r
     if t > rv.latest_arrival_s:
         return None
-    if rv.loc != dv.loc:
-        t += travel_time(rv.loc, dv.loc, CAR, mots)
-    return t if t <= dv.latest_arrival_s else None
+    to_dest = 0 if rv.loc == dv.loc else travel_time(rv.loc, dv.loc, CAR, mots)
+    if t + to_dest > dv.latest_arrival_s:
+        return None
+    depart = min(dv.latest_arrival_s - to_dest, rv.latest_arrival_s) - tt_r - to_pickup
+    return t + to_dest, depart
 
 
 class _RiderLeg(NamedTuple):
@@ -147,35 +148,15 @@ class _RiderLeg(NamedTuple):
 
 
 class _LegOption(NamedTuple):
-    """One way to drive a driver leg: alone, or with the rider leg
-    (rider_u, rider_v) on board."""
+    """One way to drive a driver leg: alone (rider None), or with a rider
+    leg on board. arrive_s: arrival at the leg's end after its earliest
+    departure. depart_s: latest departure from the leg's origin; set on every
+    leg, but only the first leg's value, the trip's depot departure, is read."""
 
     saving: float
-    arrive_s: int  # arrival at the leg's end after its earliest departure
-    depart_s: Optional[int]  # first leg only: latest depot departure
-    rider_id: int = -1
-    rider_leg: int = -1
-    rider_u: Optional[Task] = None
-    rider_v: Optional[Task] = None
-
-    @property
-    def is_share(self) -> bool:
-        return self.rider_id >= 0
-
-
-def _share_departure(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
-                     mots) -> int:
-    """Latest departure from du that still meets every deadline of the
-    driver leg (du, dv) with the rider leg (ru, rv), of car time tt_r, on
-    board."""
-    t = dv.latest_arrival_s
-    if rv.loc != dv.loc:
-        t -= travel_time(rv.loc, dv.loc, CAR, mots)
-    t = min(t, rv.latest_arrival_s)
-    t -= tt_r
-    if du.loc != ru.loc:
-        t -= travel_time(du.loc, ru.loc, CAR, mots)
-    return t
+    arrive_s: int
+    depart_s: int
+    rider: Optional[_RiderLeg] = None
 
 
 def _rider_legs(instance: Instance,
@@ -247,80 +228,56 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
         fallback = fallback_of[driver.user_id]
         options: list[list[_LegOption]] = []
         for leg_idx, ((du, dv), tt) in enumerate(zip(legs, car_s)):
-            first = leg_idx == 0
             base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs),
                               du.earliest_departure_s + tt,
-                              dv.latest_arrival_s - tt if first else None)
-            shares: list[_LegOption] = []
+                              dv.latest_arrival_s - tt)
+            share_options: list[_LegOption] = []
             stats.feasibility_checks += n_legs - len(legs)
             fits_by = bisect_right(ready, dv.latest_arrival_s)
-            for _, rider, r_idx, ru, rv, tt_r, r_fallback, r_car in riders[:fits_by]:
-                if (rider.user_id == driver.user_id
-                        or du.earliest_departure_s + tt_r > rv.latest_arrival_s):
+            for r in riders[:fits_by]:
+                if (r.rider.user_id == driver.user_id
+                        or du.earliest_departure_s + r.tt_s > r.v.latest_arrival_s):
                     continue
-                arrive = _share_arrival(du, dv, ru, rv, tt_r, mots)
-                if arrive is None:
+                times = _share_times(du, dv, r.u, r.v, r.tt_s, mots)
+                if times is None:
                     continue
                 sav = leg_saving_share(
-                    driver, du, dv, rider, ru, rv, mots, costs,
+                    driver, du, dv, r.rider, r.u, r.v, mots, costs,
                     joint_k=joint_k,
-                    leg_costs=(fallback[leg_idx], r_fallback, r_car))
-                depart = (_share_departure(du, dv, ru, rv, tt_r, mots)
-                          if first else None)
-                shares.append(_LegOption(sav, arrive, depart, rider.user_id,
-                                         r_idx, ru, rv))
-            shares.sort(key=lambda o: (-o.saving, o.rider_id, o.rider_leg))
-            options.append([base] + shares)
+                    leg_costs=(fallback[leg_idx], r.fallback, r.car_cost))
+                share_options.append(_LegOption(sav, *times, r))
+            share_options.sort(
+                key=lambda o: (-o.saving, o.rider.rider.user_id, o.rider.leg))
+            options.append([base] + share_options)
 
         own_tasks = {t.id for t in driver.tasks}
         variants: list[TripVariant] = []
         max_v = caps.max_variants_per_user
         max_s = caps.max_shares_per_trip
-        was_truncated = False
         for combo in itertools.product(*options):
-            n_shares = sum(1 for o in combo if o.is_share)
-            if max_s is not None and n_shares > max_s:
+            on_board = [(leg_idx, o.rider) for leg_idx, o in enumerate(combo)
+                        if o.rider is not None]
+            if max_s is not None and len(on_board) > max_s:
                 continue
-            if n_shares > 0:
-                riders_used = {(o.rider_id, o.rider_leg) for o in combo if o.is_share}
-                if len(riders_used) != n_shares:
-                    continue  # same rider leg twice in one trip
+            shares = tuple((leg_idx, r.rider.user_id, r.leg) for leg_idx, r in on_board)
+            if len({s[1:] for s in shares}) != len(shares):
+                continue  # same rider leg twice in one trip
             if max_v is not None and len(variants) >= max_v:
-                was_truncated = True
+                truncated.append(driver.user_id)
                 break
-            variants.append(_make_variant(driver, combo, own_tasks, next_id))
+            # _rider_legs drops every leg with a depot end
+            covered = own_tasks.union(*((r.u.id, r.v.id) for _, r in on_board))
+            variants.append(TripVariant(
+                next_id, driver.user_id, driver.start_depot, driver.end_depot,
+                combo[0].depart_s, combo[-1].arrive_s,
+                trip_saving(o.saving for o in combo),
+                tuple(sorted(covered)), shares))
             next_id += 1
-        if was_truncated:
-            truncated.append(driver.user_id)
         by_user[driver.user_id] = variants
 
     stats.n_variants = next_id
     stats.truncated_users = tuple(truncated)
     return VariantSet(by_user, stats)
-
-
-def _make_variant(driver: UserTrip, combo: Sequence[_LegOption],
-                  own_tasks: set[int], variant_id: int) -> TripVariant:
-    covered = set(own_tasks)
-    shares: list[tuple[int, int, int]] = []
-    for leg_idx, opt in enumerate(combo):
-        if not opt.is_share:
-            continue
-        shares.append((leg_idx, opt.rider_id, opt.rider_leg))
-        # _rider_legs drops every leg with a depot end
-        covered.add(opt.rider_u.id)
-        covered.add(opt.rider_v.id)
-    return TripVariant(
-        id=variant_id,
-        driver=driver.user_id,
-        start_depot=driver.start_depot,
-        end_depot=driver.end_depot,
-        depart_s=combo[0].depart_s,
-        arrive_s=combo[-1].arrive_s,
-        saving_eur=trip_saving(o.saving for o in combo),
-        covered=tuple(sorted(covered)),
-        shares=tuple(shares),
-    )
 
 
 def variant_leg_savings(instance: Instance, variant: TripVariant) -> list[float]:
@@ -457,7 +414,8 @@ def build_graph(instance: Instance,
 
     One ride edge per variant between (start_depot, depart) and
     (end_depot, arrive); parallel edges are kept (it is a multigraph), and a
-    variant whose times leave [sigma, tau] is a construction error.
+    variant whose times leave [sigma, tau] or whose saving is not finite is a
+    construction error.
     """
     flat = variants.all if isinstance(variants, VariantSet) else list(variants)
     sigma, tau = instance.sigma_s, instance.tau_s
@@ -468,6 +426,8 @@ def build_graph(instance: Instance,
                 f"variant {v.id} times [{v.depart_s}, {v.arrive_s}] leave the "
                 f"horizon [{sigma}, {tau}]"
             )
+        if not math.isfinite(v.saving_eur):
+            raise GraphConstructionError(f"variant {v.id} saving is {v.saving_eur}")
         rides.append(((v.start_depot, v.depart_s), (v.end_depot, v.arrive_s), v))
     return _assemble([d.id for d in instance.depots], sigma, tau, rides)
 

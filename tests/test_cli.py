@@ -35,26 +35,35 @@ def run_entry(*argv, cwd):
 
 def write_probes(directory: Path):
     """Writes the bad-input probes: the two-user instance of generator seed
-    0 as it is and with one field replaced, and a file that is not text."""
+    0 as it is and with some fields replaced, and a file that is not text."""
     doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))
     (directory / "two_users.json").write_text(json.dumps(doc))
-    for name, field, value in [
-            ("number.json", (), 5),
-            ("speed_text.json", ("mots", 0, "speed_kmh"), "fast"),
-            ("user_number.json", ("users", 0), 7),
-            ("task_nan.json", ("users", 0, "tasks", 0, "x_km"), math.nan),
-            ("task_inf.json", ("users", 0, "tasks", 0, "latest_arrival_s"), 1e400),
+    for name, *edits in [
+            ("number.json", ((), 5)),
+            ("speed_text.json", (("mots", 0, "speed_kmh"), "fast")),
+            ("user_number.json", (("users", 0), 7)),
+            ("task_nan.json", (("users", 0, "tasks", 0, "x_km"), math.nan)),
+            ("task_inf.json", (("users", 0, "tasks", 0, "latest_arrival_s"), 1e400)),
             # the car cannot reach user 0's first task from the depot in time
-            ("late_task.json", ("users", 0, "tasks", 0, "latest_arrival_s"),
-             SIGMA_S + 5)]:
+            ("late_task.json", (("users", 0, "tasks", 0, "latest_arrival_s"),
+                                SIGMA_S + 5)),
+            # nor user 1's last task from their third: a leg that user 0
+            # shares in two_users.json
+            ("late_leg.json", (("users", 1, "tasks", 3, "latest_arrival_s"),
+                               doc["users"][1]["tasks"][2]["earliest_departure_s"])),
+            # savings that overflow to infinity
+            ("car_cost_big.json", (("mots", 1, "per_km_cost_eur"), 1e308)),
+            ("penalty_big.json", (("costs", "penalty_eur"), 1e308),
+             (("users", 0, "allowed_mots"), ["car"]))]:
         doc = json.loads((directory / "two_users.json").read_text())
-        if field:
+        for field, value in edits:
+            if not field:
+                doc = value
+                continue
             target = doc
             for key in field[:-1]:
                 target = target[key]
             target[field[-1]] = value
-        else:
-            doc = value
         (directory / name).write_text(json.dumps(doc))
     (directory / "binary.json").write_bytes(bytes(range(256)))
 
@@ -168,6 +177,10 @@ def test_bad_input_ends_without_traceback(tmp_path, argv, code):
 @pytest.mark.parametrize("argv", [
     "solve task_inf.json",                          # int() of an infinity
     "solve two_users.json --out number.json/out",   # NotADirectoryError
+    "solve car_cost_big.json",                      # a saving of -inf
+    "solve car_cost_big.json --edge",
+    "solve penalty_big.json",                       # a saving of +inf
+    "solve penalty_big.json --edge",
 ])
 def test_more_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv):
     write_probes(tmp_path)
@@ -190,6 +203,18 @@ def test_task_the_car_cannot_reach_falls_back(tmp_path):
     graph = build_graph(instance, variants)
     assert own <= set(colgen.run(instance, graph=graph).plan.uncovered)
     assert own <= set(edgeform.solve_edge(graph, instance).plan.uncovered)
+    assert run_cli("solve", str(path)) == 0
+    assert run_cli("solve", str(path), "--edge") == 0
+
+
+def test_leg_between_tasks_the_car_cannot_drive_is_not_shared(tmp_path):
+    write_probes(tmp_path)
+    path = tmp_path / "late_leg.json"
+    before = enumerate_variants(read_instance(tmp_path / "two_users.json"))
+    after = enumerate_variants(read_instance(path))
+    assert any(s[1:] == (1, 3) for v in before.all for s in v.shares)
+    assert not any(s[1:] == (1, 3) for v in after.all for s in v.shares)
+    assert after.by_user[1] == [] and after.by_user[0]
     assert run_cli("solve", str(path)) == 0
     assert run_cli("solve", str(path), "--edge") == 0
 

@@ -100,6 +100,11 @@ def test_task_window_violation_is_reported():
     (("users", 1, "start_depot"), "a", "users[1]: invalid literal"),
     (("users", 0, "tasks", 1, "y_km"), [], "users[0].tasks[1]: "),
     (("users", 1, "allowed_mots"), [["car"]], "users[1]: unhashable"),
+    (("users", 1, "id"), 0, "instance: duplicate user ids"),
+    (("users", 0, "tasks", 0, "x_km"), 1e308,
+     "instance: mot 'bike': travel time across the instance is not finite"),
+    (("mots", 1, "sloping"), 1e308,
+     "instance: mot 'car': travel time across the instance is not finite"),
 ])
 def test_malformed_field_is_named(field, value, message):
     doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import SIGMA, make_instance, make_task
+from mmcrp.colgen import run
 from mmcrp.edgeform import solve_edge
 from mmcrp.instgen import GenParams, generate
-from mmcrp.model import ALL_MOTS
+from mmcrp.model import ALL_MOTS, CAR
 from mmcrp.oracle import OracleSizeError, brute_force
 from mmcrp.ridegraph import Caps, build_graph, enumerate_variants
 
@@ -42,6 +45,52 @@ def test_random_tiny_instances_match_edge_formulation():
         assert brute_force(inst, g) == pytest.approx(want, abs=1e-9)
         checked += 1
     assert checked >= 8
+
+
+def _edge_cases(inst):
+    """The instance and five edge cases of it, each with its caps."""
+    caps = Caps(max_shares_per_trip=1, max_variants_per_user=3)
+
+    def tasks_at(loc):
+        return replace(inst, users=tuple(
+            replace(u, tasks=tuple(replace(t, loc=loc) for t in u.tasks))
+            for u in inst.users))
+
+    yield "unchanged", inst, caps
+    yield "zero fleet", replace(inst, depots=tuple(
+        replace(d, vehicles_start=0, vehicles_end=0) for d in inst.depots)), caps
+    yield "car only", replace(inst, users=tuple(
+        replace(u, allowed_mots=frozenset({CAR})) for u in inst.users)), caps
+    # coincident locations skip the detours of a share
+    yield "tasks at depot 0", tasks_at(inst.depots[0].loc), caps
+    yield "tasks at one task", tasks_at(inst.users[0].tasks[0].loc), caps
+    yield "no variants", inst, Caps(max_variants_per_user=0)
+
+
+def test_edge_cases_agree_with_the_oracle():
+    """Criterion 1's check, on one- and two-depot instances and their edge
+    cases: the edge MILP equals the oracle, column generation's LP bound is
+    at least and its IP value at most the oracle's."""
+    checked = 0
+    for seed in range(24):
+        n_depots = 1 + seed % 2
+        inst = generate(GenParams(n_users=2 + seed % 3, n_depots=n_depots,
+                                  vehicles_per_depot=[1] * n_depots,
+                                  seed=seed, tasks_max=2))
+        for case, edge_case, caps in _edge_cases(inst):
+            edge_case.validate()
+            graph = build_graph(edge_case, enumerate_variants(edge_case, caps))
+            if len(graph.ride_edges) > 25:
+                continue
+            oracle_value = brute_force(edge_case, graph)
+            where = f"seed {seed}, {case}"
+            assert solve_edge(graph, edge_case).objective == \
+                pytest.approx(oracle_value, abs=1e-9), where
+            cg = run(edge_case, graph=graph)
+            assert cg.lp_bound >= oracle_value - 1e-6, where
+            assert cg.ip_value <= oracle_value + 1e-6, where
+            checked += 1
+    assert checked >= 120
 
 
 def test_size_guard_reports_dimensions():
