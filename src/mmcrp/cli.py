@@ -241,7 +241,7 @@ def compare_baselines(instance: Instance, caps: Caps, scheme: str = "multiple",
     carshare = colgen.run(instance, scheme=scheme, heuristic=heuristic,
                           limits=limits, graph=graph_base,
                           ip_time_limit_s=ip_time_limit_s)
-    seed_routes = [r for r in carshare.routes if not r.dummy and r.covered]
+    seed_routes = [r for r in carshare.routes if r.covered]
     full = colgen.run(instance, scheme=scheme, heuristic=heuristic,
                       limits=limits, graph=graph_full,
                       initial_routes=seed_routes,
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depots", type=_at_least(1), default=2)
     g.add_argument("--vehicles", type=int, default=4,
                    help="total fleet, split equally over depots")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_at_least(0), default=0)
     g.add_argument("--instance-number", type=int, default=None,
                    help="number I in E_<users>_<I>.json (default: the seed)")
     g.add_argument("--out-dir", default=".")

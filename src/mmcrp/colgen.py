@@ -341,12 +341,20 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
                         time_limit_s: Optional[float] = None
                         ) -> tuple[float, Optional[Plan], str]:
     """Integer-solve the master over the generated columns and decode the
-    chosen routes into vehicle itineraries."""
+    chosen routes into vehicle itineraries.
+
+    RELOCATION_PENALTY dwarfs any route's saving, so the IP takes a
+    relocation column only when no plan without one exists among the
+    columns. Such a solution is no plan: it reports no plan and the status
+    'infeasible' ('time_limit' if the search was cut short)."""
     res = milp.solve_ip(master.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return math.nan, None, res.status
     routes = [route for route, x in zip(master.routes, res.x)
               for _ in range(int(round(x)))]
+    if any(r.dummy for r in routes):
+        return math.nan, None, \
+            "infeasible" if res.status == "optimal" else res.status
     plan = build_plan(instance, graph.variants, routes)
     return float(res.objective), plan, res.status
 
@@ -436,7 +444,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
     if math.isnan(ip_value):
         gap_pct = math.nan
     elif abs(ip_value) > 1e-9:
-        gap_pct = 100.0 * (lp_bound - ip_value) / ip_value
+        gap_pct = 100.0 * (lp_bound - ip_value) / abs(ip_value)
     else:
         gap_pct = 0.0 if abs(lp_bound - ip_value) <= 1e-6 else math.nan
 

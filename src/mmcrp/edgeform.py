@@ -9,7 +9,7 @@ domain would under-count idle flow.
 
 This model exists as the exact desk-scale baseline; the graph blows up
 quickly with ride-sharing, so a size guard refuses models of more than
-`max_dense_cells` (6,000,000) rows times columns instead of thrashing."""
+`MAX_CELLS` (6,000,000) rows times columns instead of thrashing."""
 
 from __future__ import annotations
 
@@ -21,6 +21,9 @@ from .milp import EQ, LE, IpResult, MilpProblem, solve_ip
 from .model import Instance
 from .ridegraph import RIDE, TimeSpaceGraph
 from .solution import Plan, Route, build_plan
+
+#: largest rows times columns the dense simplex is asked to handle
+MAX_CELLS = 6_000_000
 
 
 class EdgeModelSizeError(ValueError):
@@ -41,23 +44,25 @@ class EdgeResult:
     gap: float
 
 
-def build_edge_model(graph: TimeSpaceGraph, instance: Instance,
-                     max_dense_cells: int = 6_000_000) -> EdgeModel:
+def build_edge_model(graph: TimeSpaceGraph, instance: Instance) -> EdgeModel:
     """One binary column per ride edge, one integer column per waiting edge;
-    exactly |V'| + 2|D| + |Q| rows."""
-    depot_ids = sorted(graph.source)
-    specials = set(graph.source.values()) | set(graph.sink.values())
-    interior = [v for v in range(len(graph.nodes)) if v not in specials]
-    interior_row = {v: i for i, v in enumerate(interior)}
+    exactly |V'| + 2|D| + |Q| rows.
 
-    rows: list[tuple[str, float]] = [(EQ, 0.0) for _ in interior]
-    start_row = {}
+    Every node has one flow row and a sign: an interior node its
+    conservation row (+1), a source its departure row (-1), a sink its
+    return row (+1). An edge enters its head's row with the head's sign and
+    its tail's row with the opposite of the tail's sign. Every edge strictly
+    increases time, so no edge leaves a sink or enters a source."""
+    depot_ids = sorted(graph.source)
+    depot_nodes = set(graph.source.values()) | set(graph.sink.values())
+    node_row = {v: (i, 1.0) for i, v in enumerate(
+        v for v in range(len(graph.nodes)) if v not in depot_nodes)}
+    rows: list[tuple[str, float]] = [(EQ, 0.0)] * len(node_row)
     for d in depot_ids:
-        start_row[d] = len(rows)
+        node_row[graph.source[d]] = (len(rows), -1.0)
         rows.append((EQ, float(instance.depot(d).vehicles_start)))
-    end_row = {}
     for d in depot_ids:
-        end_row[d] = len(rows)
+        node_row[graph.sink[d]] = (len(rows), 1.0)
         rows.append((EQ, float(instance.depot(d).vehicles_end)))
     task_row = {}
     for t in sorted(t.id for t in instance.all_tasks()):
@@ -66,36 +71,22 @@ def build_edge_model(graph: TimeSpaceGraph, instance: Instance,
 
     n_rows = len(rows)
     n_cols = len(graph.edges)
-    if n_rows * n_cols > max_dense_cells:
+    if n_rows * n_cols > MAX_CELLS:
         raise EdgeModelSizeError(
             f"edge model would need {n_rows} rows x {n_cols} columns; "
-            f"beyond the size guard ({max_dense_cells} cells). Use the "
+            f"beyond the size guard ({MAX_CELLS} cells). Use the "
             f"column-generation solver for instances of this size."
         )
 
     problem = MilpProblem(rows)
     fleet = float(instance.fleet_size)
     for e in graph.edges:
-        entries = []
-        if e.tail in interior_row:
-            entries.append((interior_row[e.tail], -1.0))
-        else:
-            td, tt = graph.nodes[e.tail]
-            if tt == graph.sigma_s:
-                entries.append((start_row[td], 1.0))
-        if e.head in interior_row:
-            entries.append((interior_row[e.head], 1.0))
-        else:
-            hd, ht = graph.nodes[e.head]
-            if ht == graph.tau_s:
-                entries.append((end_row[hd], 1.0))
-        if e.kind == RIDE:
-            for t in e.covered_tasks:
-                entries.append((task_row[t], 1.0))
-            problem.add_column(e.saving, entries, upper=1.0, integer=True)
-        else:
-            problem.add_column(0.0, entries, upper=fleet, integer=True)
-
+        tail_row, tail_sign = node_row[e.tail]
+        head_row, head_sign = node_row[e.head]
+        entries = [(tail_row, -tail_sign), (head_row, head_sign)]
+        entries += [(task_row[t], 1.0) for t in e.covered_tasks]
+        problem.add_column(e.saving, entries, integer=True,
+                           upper=1.0 if e.kind == RIDE else fleet)
     return EdgeModel(problem)
 
 
@@ -105,31 +96,26 @@ def _peel_routes(graph: TimeSpaceGraph, instance: Instance,
     vehicle (the edge of lowest id with flow left is taken first, so ride
     edges before waiting edges)."""
     remaining = list(flow)
+    sinks = set(graph.sink.values())
     routes = []
     for d in sorted(graph.source):
         for _ in range(instance.depot(d).vehicles_start):
             node = graph.source[d]
-            variant_ids = []
-            covered = []
-            saving = 0.0
-            while node not in graph.sink.values():
-                nxt = None
-                for eid in graph.out_edges[node]:
-                    if remaining[eid] > 0:
-                        nxt = eid
-                        break
-                if nxt is None:
+            rides = []
+            while node not in sinks:
+                eid = next((eid for eid in graph.out_edges[node]
+                            if remaining[eid] > 0), None)
+                if eid is None:
                     raise AssertionError("flow conservation violated in decode")
-                remaining[nxt] -= 1
-                e = graph.edges[nxt]
+                remaining[eid] -= 1
+                e = graph.edges[eid]
                 if e.kind == RIDE:
-                    variant_ids.append(e.variant_id)
-                    covered.extend(e.covered_tasks)
-                    saving += e.saving
+                    rides.append(e)
                 node = e.head
-            end_d = graph.node_depot(node)
-            routes.append(Route(d, end_d, tuple(variant_ids),
-                                tuple(sorted(covered)), saving))
+            routes.append(Route(
+                d, graph.node_depot(node), tuple(r.variant_id for r in rides),
+                tuple(sorted(t for r in rides for t in r.covered_tasks)),
+                sum((r.saving for r in rides), 0.0)))
     return routes
 
 
@@ -139,7 +125,7 @@ def solve_edge(graph: TimeSpaceGraph, instance: Instance,
     uncovered tasks get their cheapest-other fallback in the plan."""
     model = build_edge_model(graph, instance)
     res: IpResult = solve_ip(model.problem, time_limit_s=time_limit_s)
-    if res.status in ("infeasible", "unbounded") or res.x is None:
+    if res.x is None:
         return EdgeResult(res.status, math.nan, res.bound, None, math.inf)
     flow = [int(round(v)) for v in res.x]
     routes = _peel_routes(graph, instance, flow)

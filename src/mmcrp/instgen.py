@@ -74,6 +74,8 @@ class GenParams:
             raise GenerationError("n_users must be >= 1")
         if self.n_depots < 1:
             raise GenerationError("n_depots must be >= 1")
+        if self.seed < 0:
+            raise GenerationError("seed must be >= 0")
         if self.tasks_max < TASKS_MIN:
             raise GenerationError(f"tasks_max must be >= {TASKS_MIN}")
         if not isinstance(self.vehicles_per_depot, int):

@@ -518,7 +518,9 @@ def _most_fractional(x: np.ndarray, integer: Sequence[bool]) -> int:
 def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpResult:
     """Depth-first branch and bound on the most-fractional variable (ties by
     lowest index). Returns the incumbent and the best remaining bound; when
-    the tree is exhausted the bound equals the incumbent (gap 0)."""
+    the tree is exhausted the bound equals the incumbent (gap 0). The time
+    limit is checked before each child node, so the root is always
+    evaluated."""
     t0 = time.perf_counter()
     c = np.array(problem.objective)
 
@@ -536,7 +538,8 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
     timed_out = False
 
     while stack:
-        if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
+        if nodes and time_limit_s is not None \
+                and time.perf_counter() - t0 > time_limit_s:
             timed_out = True
             break
         bnds, state, parent_bound = stack.pop()

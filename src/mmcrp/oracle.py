@@ -8,6 +8,7 @@ definition, so anything beyond the guard is refused."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import Instance
 from .ridegraph import TimeSpaceGraph
@@ -49,8 +50,9 @@ def _chains_from(graph: TimeSpaceGraph, depot: int) -> list[_Chain]:
     return chains
 
 
-def brute_force(instance: Instance, graph: TimeSpaceGraph) -> float:
-    """Optimal total saving by exhaustive vehicle-to-chain assignment."""
+def brute_force(instance: Instance, graph: TimeSpaceGraph) -> Optional[float]:
+    """Optimal total saving by exhaustive vehicle-to-chain assignment, or
+    None when no assignment meets the depot returns."""
     n_rides = len(graph.ride_edges)
     fleet = instance.fleet_size
     if n_rides > MAX_RIDE_EDGES or fleet > MAX_FLEET:
@@ -87,6 +89,4 @@ def brute_force(instance: Instance, graph: TimeSpaceGraph) -> float:
                 del ends[ch.end_depot]
 
     assign(0, 0, frozenset(), 0.0, {})
-    if best == -float("inf"):
-        raise AssertionError("no feasible assignment found; idle chains missing?")
-    return best
+    return None if best == -float("inf") else best

@@ -38,7 +38,6 @@ class Plan:
     uncovered: dict[int, tuple[str, float]]
     rides_per_car: float
     shares_per_ride: float
-    uses_dummy: bool = False
 
 
 def fallback_assignment(instance: Instance,
@@ -74,5 +73,4 @@ def build_plan(instance: Instance, variants: Mapping[int, TripVariant],
         uncovered=fallback_assignment(instance, covered),
         rides_per_car=n_rides / fleet if fleet else 0.0,
         shares_per_ride=n_shares / n_rides if n_rides else 0.0,
-        uses_dummy=any(r.dummy for r in routes),
     )

@@ -163,6 +163,7 @@ def test_malformed_instance_is_io_error(tmp_path):
     ("solve .", 1),
     ("solve late_task.json", 0),
     ("gen --users 3 --depots 0", 2),
+    ("gen --users 3 --seed -1", 2),
 ])
 def test_bad_input_ends_without_traceback(tmp_path, argv, code):
     write_probes(tmp_path)
@@ -257,6 +258,26 @@ def test_dump_graph_enumerates_once(tmp_path, monkeypatch):
         (tmp_path / "expected.csv").read_text()
     doc = json.loads((tmp_path / "E_6_4.result.json").read_text())
     assert set(doc["timings"]) == {"pricing_s", "master_s", "ip_s", "total_s"}
+
+
+def test_time_limit_keeps_the_solved_root(tmp_path):
+    """A limit shorter than the root LP still evaluates the root; both
+    roots here are integral, so both solves end optimal."""
+    run_cli("gen", "--users", "40", "--vehicles", "4", "--seed", "0",
+            "--out-dir", str(tmp_path))
+    assert run_cli("solve", str(tmp_path / "E_40_0.json"), "--edge",
+                   "--time-limit", "0.01") == 0
+    edge = json.loads((tmp_path / "E_40_0.result.json").read_text())
+    assert (edge["status"], edge["gap_pct"]) == ("optimal", 0.0)
+    assert edge["objective"] == pytest.approx(50246.7787198688, abs=1e-6)
+    assert edge["bound"] == edge["objective"]
+
+    run_cli("gen", "--users", "6", "--vehicles", "0", "--seed", "3",
+            "--out-dir", str(tmp_path))
+    assert run_cli("solve", str(tmp_path / "E_6_3.json"),
+                   "--ip-time-limit", "1e-9", "--early-stop", "1") == 0
+    cg = json.loads((tmp_path / "E_6_3.result.json").read_text())
+    assert (cg["ip_status"], cg["ip_value"]) == ("optimal", 0.0)
 
 
 def test_oversized_edge_model_is_usage_error(tmp_path, capsys):

@@ -255,7 +255,7 @@ def test_no_dummy_in_final_plan():
     for seed in range(5):
         inst = generate(GenParams(n_users=8, seed=seed))
         r = run(inst)
-        assert not r.plan.uses_dummy
+        assert not any(route.dummy for route in r.plan.routes)
 
 
 def test_plan_stats_recompute_from_routes():

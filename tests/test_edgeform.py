@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_instance
-from mmcrp import colgen
+from mmcrp import colgen, edgeform
 from mmcrp.edgeform import EdgeModelSizeError, build_edge_model, solve_edge
 from mmcrp.instgen import GenParams, generate
 from mmcrp.oracle import brute_force
@@ -102,7 +102,8 @@ def test_plan_routes_carry_their_coverage(seed):
         assert plan.covered == {t for r in plan.routes for t in r.covered}
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     inst, g = tiny_instance(0)
+    monkeypatch.setattr(edgeform, "MAX_CELLS", 10)
     with pytest.raises(EdgeModelSizeError, match="column-generation"):
-        build_edge_model(g, inst, max_dense_cells=10)
+        build_edge_model(g, inst)

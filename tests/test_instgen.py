@@ -139,3 +139,8 @@ def test_bad_user_count_rejected():
 def test_vehicle_list_length_mismatch_rejected():
     with pytest.raises(GenerationError):
         generate(GenParams(n_users=5, n_depots=2, vehicles_per_depot=[1, 1, 1]))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(GenerationError, match="seed"):
+        generate(GenParams(n_users=3, seed=-1))

@@ -48,7 +48,9 @@ def test_random_tiny_instances_match_edge_formulation():
 
 
 def _edge_cases(inst):
-    """The instance and five edge cases of it, each with its caps."""
+    """The instance and its edge cases, each with its caps: five, and on two
+    depots a sixth where depot 0 returns one vehicle fewer and depot 1 one
+    more."""
     caps = Caps(max_shares_per_trip=1, max_variants_per_user=3)
 
     def tasks_at(loc):
@@ -65,12 +67,18 @@ def _edge_cases(inst):
     yield "tasks at depot 0", tasks_at(inst.depots[0].loc), caps
     yield "tasks at one task", tasks_at(inst.users[0].tasks[0].loc), caps
     yield "no variants", inst, Caps(max_variants_per_user=0)
+    if len(inst.depots) == 2:
+        d0, d1 = inst.depots
+        yield "one return moved", replace(inst, depots=(
+            replace(d0, vehicles_end=d0.vehicles_end - 1),
+            replace(d1, vehicles_end=d1.vehicles_end + 1))), caps
 
 
 def test_edge_cases_agree_with_the_oracle():
     """Criterion 1's check, on one- and two-depot instances and their edge
     cases: the edge MILP equals the oracle, column generation's LP bound is
-    at least and its IP value at most the oracle's."""
+    at least and its IP value at most the oracle's. Where the oracle finds
+    no assignment, both solvers report 'infeasible' and no plan."""
     checked = 0
     for seed in range(24):
         n_depots = 1 + seed % 2
@@ -84,12 +92,16 @@ def test_edge_cases_agree_with_the_oracle():
                 continue
             oracle_value = brute_force(edge_case, graph)
             where = f"seed {seed}, {case}"
-            assert solve_edge(graph, edge_case).objective == \
-                pytest.approx(oracle_value, abs=1e-9), where
+            edge = solve_edge(graph, edge_case)
             cg = run(edge_case, graph=graph)
+            checked += 1
+            if oracle_value is None:
+                assert (edge.status, edge.plan, cg.ip_status, cg.plan) == \
+                    ("infeasible", None, "infeasible", None), where
+                continue
+            assert edge.objective == pytest.approx(oracle_value, abs=1e-9), where
             assert cg.lp_bound >= oracle_value - 1e-6, where
             assert cg.ip_value <= oracle_value + 1e-6, where
-            checked += 1
     assert checked >= 120
 
 
