@@ -10,7 +10,7 @@ from .colgen import (
     CgLimits,
     CgResult,
     DualPrices,
-    init_master,
+    RestrictedMaster,
     price,
     reduced_saving,
     run,

@@ -195,17 +195,16 @@ def cmd_sweep(args) -> int:
         result = colgen.run(inst_m, scheme=args.scheme, heuristic=args.heuristic,
                             limits=_limits(args), graph=graph,
                             ip_time_limit_s=args.ip_time_limit or None)
-        rows.append((m, result.ip_value,
-                     result.plan.rides_per_car if result.plan else 0.0,
-                     result.plan.shares_per_ride if result.plan else 0.0))
+        plan = result.plan
+        rows.append([m, f"{result.ip_value:.6f}", f"{plan.rides_per_car:.4f}",
+                     f"{plan.shares_per_ride:.4f}"] if plan else [m, "", "", ""])
         log.info("m=%d ip=%.2f", m, result.ip_value)
 
     out = Path(f"{prefix}.sweep.csv")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "ip_value", "rides_per_car", "shares_per_ride"])
-        for m, ip, rides, shares in rows:
-            w.writerow([m, f"{ip:.6f}", f"{rides:.4f}", f"{shares:.4f}"])
+        w.writerows(rows)
     print(out)
     return 0
 

@@ -24,9 +24,7 @@ from .model import Instance
 from .ridegraph import (
     RIDE,
     TimeSpaceGraph,
-    build_graph,
     drop_negative,
-    enumerate_variants,
     reduce_prune,
     reduce_statespace,
 )
@@ -60,6 +58,12 @@ def reduced_saving(route: Route, duals: DualPrices) -> float:
 class RestrictedMaster:
     """Incrementally grown master problem with warm-started LP resolves.
 
+    It starts with one idle route per depot and one relocation column per
+    ordered depot pair: an empty route between two different depots, worth
+    -RELOCATION_PENALTY. No graph path has that shape, since waiting edges
+    never change depot. These seed columns keep the depot equality rows
+    feasible for any inventory with matching totals.
+
     Columns get no explicit upper bound: any task-covering route is capped at
     one by its coverage rows and idle/relocation columns are capped by the
     depot equality rows, so the LP is unchanged while the duals stay free of
@@ -67,6 +71,11 @@ class RestrictedMaster:
     """
 
     def __init__(self, instance: Instance):
+        if sum(d.vehicles_start for d in instance.depots) != \
+                sum(d.vehicles_end for d in instance.depots):
+            raise milp.MilpError("total start and end vehicle counts differ; "
+                                 "the depot equality rows are infeasible")
+        depot_ids = sorted(d.id for d in instance.depots)
         self.task_row: dict[int, int] = {}
         rows: list[tuple[str, float]] = []
         for t in sorted(t.id for t in instance.all_tasks()):
@@ -74,16 +83,22 @@ class RestrictedMaster:
             rows.append((LE, 1.0))
         self.start_row: dict[int, int] = {}
         self.end_row: dict[int, int] = {}
-        for d in sorted(dd.id for dd in instance.depots):
+        for d in depot_ids:
             self.start_row[d] = len(rows)
             rows.append((EQ, float(instance.depot(d).vehicles_start)))
-        for d in sorted(dd.id for dd in instance.depots):
+        for d in depot_ids:
             self.end_row[d] = len(rows)
             rows.append((EQ, float(instance.depot(d).vehicles_end)))
         self.problem = MilpProblem(rows)
         self.routes: list[Route] = []
         self._identities: set = set()
         self._state = None
+        for d in depot_ids:
+            self.add_route(Route(d, d, (), (), 0.0))
+        for d in depot_ids:
+            for d2 in depot_ids:
+                if d != d2:
+                    self.add_route(Route(d, d2, (), (), -RELOCATION_PENALTY))
 
     def add_route(self, route: Route) -> bool:
         """Append route as a column; returns False for a duplicate (same
@@ -118,26 +133,6 @@ class RestrictedMaster:
             delta={d: float(y[r]) for d, r in self.end_row.items()},
         )
         return sol.objective, duals
-
-
-def init_master(instance: Instance) -> RestrictedMaster:
-    """Master with one idle route per depot and one relocation dummy per
-    ordered depot pair, which keeps the equality rows feasible for any depot
-    inventory with matching totals."""
-    if sum(d.vehicles_start for d in instance.depots) != \
-            sum(d.vehicles_end for d in instance.depots):
-        raise milp.MilpError("total start and end vehicle counts differ; "
-                             "the depot equality rows are infeasible")
-    master = RestrictedMaster(instance)
-    depot_ids = sorted(d.id for d in instance.depots)
-    for d in depot_ids:
-        master.add_route(Route(d, d, (), (), 0.0))
-    for d in depot_ids:
-        for d2 in depot_ids:
-            if d != d2:
-                master.add_route(Route(d, d2, (), (), -RELOCATION_PENALTY,
-                                       dummy=True))
-    return master
 
 
 # --- pricing ---------------------------------------------------------------
@@ -343,25 +338,26 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
     """Integer-solve the master over the generated columns and decode the
     chosen routes into vehicle itineraries.
 
-    RELOCATION_PENALTY dwarfs any route's saving, so the IP takes a
-    relocation column only when no plan without one exists among the
-    columns. Such a solution is no plan: it reports no plan and the status
-    'infeasible' ('time_limit' if the search was cut short)."""
+    A relocation column is an empty route between two different depots.
+    RELOCATION_PENALTY dwarfs any route's saving, so the IP takes one only
+    when no plan without one exists among the columns. Such a solution is
+    no plan: it reports no plan and the status 'infeasible' ('time_limit'
+    if the search was cut short)."""
     res = milp.solve_ip(master.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return math.nan, None, res.status
     routes = [route for route, x in zip(master.routes, res.x)
               for _ in range(int(round(x)))]
-    if any(r.dummy for r in routes):
+    if any(r.start_depot != r.end_depot and not r.variant_ids
+           for r in routes):
         return math.nan, None, \
             "infeasible" if res.status == "optimal" else res.status
     plan = build_plan(instance, graph.variants, routes)
     return float(res.objective), plan, res.status
 
 
-def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
-        limits: Optional[CgLimits] = None,
-        graph: Optional[TimeSpaceGraph] = None,
+def run(instance: Instance, graph: TimeSpaceGraph, scheme: str = "multiple",
+        heuristic: str = "none", limits: Optional[CgLimits] = None,
         initial_routes: Optional[Iterable[Route]] = None,
         ip_time_limit_s: Optional[float] = None) -> CgResult:
     """Delayed column generation followed by the restricted-master IP.
@@ -369,8 +365,7 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
     Iterates: solve the restricted LP, price once per start depot on the
     current phase's graph, add columns according to the scheme, until no
     column prices above the threshold or a limit is hit. A heuristic phase
-    never resumes once the exact phase has started. Without a graph, the
-    variants are enumerated with the default caps and the graph built here.
+    never resumes once the exact phase has started.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -379,17 +374,16 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
     limits = limits or CgLimits()
     t_start = time.perf_counter()
 
-    if graph is None:
-        graph = build_graph(instance, enumerate_variants(instance))
-    reduced = REDUCTIONS[heuristic](graph) if heuristic != "none" else None
+    # the graph being priced: the heuristic's reduction until the exact phase
+    pgraph = REDUCTIONS[heuristic](graph) if heuristic != "none" else graph
+    phase = "exact" if heuristic == "none" else "heuristic"
 
-    master = init_master(instance)
-    n_seed = len(master.routes)
+    master = RestrictedMaster(instance)
     for r in initial_routes or ():
         master.add_route(r)
+    n_seed = len(master.routes)
     depot_ids = sorted(d.id for d in instance.depots)
 
-    phase = "heuristic" if reduced is not None else "exact"
     log: list[IterationLog] = []
     relax_counts: list[tuple[int, int]] = []
     pricing_s = 0.0
@@ -410,7 +404,6 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
             break
         iterations += 1
 
-        pgraph = reduced if phase == "heuristic" else graph
         t_p = time.perf_counter()
         picked = _price_iteration(pgraph, duals, scheme, depot_ids, relax_counts)
         if phase == "heuristic":
@@ -426,14 +419,15 @@ def run(instance: Instance, scheme: str = "multiple", heuristic: str = "none",
 
         if added == 0:
             if phase == "heuristic":
-                phase = "exact"
+                phase, pgraph = "exact", graph
                 continue
             converged = True
             certified = not picked
             break
         if limits.early_stop_iterations and iterations >= limits.early_stop_iterations:
             limit_hit = True
-        elif limits.time_limit_s and time.perf_counter() - t_start > limits.time_limit_s:
+        elif (limits.time_limit_s is not None
+              and time.perf_counter() - t_start > limits.time_limit_s):
             limit_hit = True
 
     t0 = time.perf_counter()
@@ -473,7 +467,7 @@ def solve_single_assignment(instance: Instance, graph: TimeSpaceGraph,
                             ) -> tuple[float, Optional[Plan], str]:
     """User-dependent baseline: a car, if assigned, is bound to one user's
     whole day, so routes are restricted to a single share-free trip."""
-    master = init_master(instance)
+    master = RestrictedMaster(instance)
     for v in base_variants:
         master.add_route(Route(v.start_depot, v.end_depot, (v.id,), v.covered,
                                v.saving_eur))

@@ -16,15 +16,15 @@ class Route:
 
     The same record serves as a priced candidate, a master column and a plan
     route. covered is the sorted multiset of the task ids its variants
-    cover: a task touched by two rides appears twice. dummy marks the
-    master's relocation columns."""
+    cover: a task touched by two rides appears twice. An empty route
+    between two different depots is the master's relocation column: no
+    graph path has that shape, since waiting edges never change depot."""
 
     start_depot: int
     end_depot: int
     variant_ids: tuple[int, ...]
     covered: tuple[int, ...]
     saving_eur: float
-    dummy: bool = False
 
 
 @dataclass

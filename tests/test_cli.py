@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -247,7 +248,6 @@ def test_dump_graph_enumerates_once(tmp_path, monkeypatch):
         return enumerate_variants(*args, **kwargs)
 
     monkeypatch.setattr(cli, "enumerate_variants", counted)
-    monkeypatch.setattr(colgen, "enumerate_variants", counted)
     assert run_cli("solve", str(inst), "--dump-graph") == 0
     assert len(calls) == 1
 
@@ -372,6 +372,25 @@ def test_sweep_builds_the_graph_once(tmp_path, monkeypatch):
         expected.append(f"{m},{r.ip_value:.6f},{r.plan.rides_per_car:.4f},"
                         f"{r.plan.shares_per_ride:.4f}")
     assert (tmp_path / "E_8_5.sweep.csv").read_text().splitlines() == expected
+
+
+def test_sweep_leaves_a_fleet_size_without_a_plan_empty(tmp_path, monkeypatch):
+    run_cli("gen", "--users", "8", "--seed", "5", "--out-dir", str(tmp_path))
+    inst = tmp_path / "E_8_5.json"
+    assert run_cli("sweep", str(inst), "--vehicles", "1,2") == 0
+    with_plans = (tmp_path / "E_8_5.sweep.csv").read_text().splitlines()
+    run = colgen.run
+
+    def no_plan_for_two(instance, **kwargs):
+        result = run(instance, **kwargs)
+        if instance.fleet_size == 2:
+            result = replace(result, ip_value=math.nan, plan=None)
+        return result
+
+    monkeypatch.setattr(colgen, "run", no_plan_for_two)
+    assert run_cli("sweep", str(inst), "--vehicles", "1,2") == 0
+    assert (tmp_path / "E_8_5.sweep.csv").read_text().splitlines() == \
+        [*with_plans[:2], "2,,,"]
 
 
 def test_compare_ratio_ordering(tmp_path):

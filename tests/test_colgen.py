@@ -8,8 +8,8 @@ from mmcrp import colgen
 from mmcrp.colgen import (
     CgLimits,
     DualPrices,
+    RestrictedMaster,
     Route,
-    init_master,
     price,
     reduced_saving,
     run,
@@ -29,6 +29,10 @@ def small_graph(seed=0, n_users=4, vehicles=1):
     return inst, g
 
 
+def is_relocation(route):
+    return route.start_depot != route.end_depot and not route.variant_ids
+
+
 def random_duals(inst, rng, scale=5.0):
     return DualPrices(
         alpha={t.id: abs(rng.gauss(0, scale)) for t in inst.all_tasks()},
@@ -41,11 +45,16 @@ def random_duals(inst, rng, scale=5.0):
 
 def test_init_master_columns():
     inst, _ = small_graph()
-    master = init_master(inst)
-    idle = [r for r in master.routes if not r.dummy]
-    dummies = [r for r in master.routes if r.dummy]
-    assert len(idle) == 2 and len(dummies) == 2
+    master = RestrictedMaster(inst)
+    idle = [r for r in master.routes if not is_relocation(r)]
+    relocations = [r for r in master.routes if is_relocation(r)]
+    assert len(idle) == 2 and len(relocations) == 2
     assert all(r.covered == () for r in master.routes)
+    # idle routes in depot order, then one relocation per ordered pair
+    assert master.routes == [
+        Route(0, 0, (), (), 0.0), Route(1, 1, (), (), 0.0),
+        Route(0, 1, (), (), -colgen.RELOCATION_PENALTY),
+        Route(1, 0, (), (), -colgen.RELOCATION_PENALTY)]
     obj, duals = master.solve_lp()
     assert obj <= 1e-9  # nothing positive to select yet
 
@@ -53,7 +62,7 @@ def test_init_master_columns():
 def test_init_master_feasible_for_any_matching_inventory():
     inst = generate(GenParams(n_users=3, n_depots=3,
                               vehicles_per_depot=[3, 0, 1], seed=2))
-    master = init_master(inst)
+    master = RestrictedMaster(inst)
     obj, _ = master.solve_lp()
     assert math.isfinite(obj)
 
@@ -61,7 +70,7 @@ def test_init_master_feasible_for_any_matching_inventory():
 def test_add_route_skips_duplicate_columns():
     from dataclasses import replace
     inst, g = small_graph()
-    master = init_master(inst)
+    master = RestrictedMaster(inst)
     v = max(g.variants.values(), key=lambda v: len(v.covered))
     route = Route(v.start_depot, v.end_depot, (v.id,), v.covered, v.saving_eur)
     assert master.add_route(route)
@@ -80,7 +89,7 @@ def test_mismatched_inventories_detected():
     bad = replace(inst, depots=(replace(inst.depots[0], vehicles_end=5),)
                   + inst.depots[1:])
     with pytest.raises(Exception, match="start and end"):
-        init_master(bad)
+        RestrictedMaster(bad)
 
 
 # --- reduced saving -------------------------------------------------------------
@@ -88,7 +97,7 @@ def test_mismatched_inventories_detected():
 def test_reduced_saving_zero_duals_is_route_saving():
     inst, g = small_graph()
     zero = DualPrices({}, {}, {})
-    r = Route(0, 1, (), ((0, 0), (0, 1)), 12.5)
+    r = Route(0, 1, (), (0, 1), 12.5)
     assert reduced_saving(r, zero) == 12.5
     idle = Route(0, 0, (), (), 0.0)
     assert reduced_saving(idle, zero) == 0.0
@@ -201,7 +210,7 @@ def test_all_schemes_and_heuristics_same_lp_bound():
 
 def test_lp_monotone_over_iterations():
     inst = generate(GenParams(n_users=15, seed=2))
-    r = run(inst, scheme="best")
+    r = run(inst, build_graph(inst, enumerate_variants(inst)), scheme="best")
     objs = [row.lp_objective for row in r.log]
     assert all(b >= a - 1e-7 for a, b in zip(objs[:-1], objs[1:]))
 
@@ -211,7 +220,7 @@ def test_termination_certificate():
     r = run(inst, graph=g)
     assert r.certified
     # rebuild the master, resolve, and confirm no route prices positive
-    master = init_master(inst)
+    master = RestrictedMaster(inst)
     for route in r.routes[len(master.routes):]:
         master.add_route(route)
     _, duals = master.solve_lp()
@@ -222,25 +231,28 @@ def test_termination_certificate():
 
 def test_early_stop_limits_iterations():
     inst = generate(GenParams(n_users=15, seed=4))
-    r = run(inst, scheme="first", limits=CgLimits(early_stop_iterations=5))
+    g = build_graph(inst, enumerate_variants(inst))
+    r = run(inst, g, scheme="first", limits=CgLimits(early_stop_iterations=5))
     assert r.iterations == 5
     assert not r.converged
-    full = run(inst, scheme="first")
+    full = run(inst, g, scheme="first")
     assert full.lp_bound >= r.lp_bound - 1e-9
     assert r.lp_bound >= r.ip_value - 1e-6
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_time_limit_stops_like_one_iteration(seed):
-    # a limit this small is hit after the first pricing round
+    # a limit this small is hit after the first pricing round; 0.0 is a
+    # limit too, not "no limit"
     inst, g = small_graph(seed=seed)
-    r = run(inst, graph=g, limits=CgLimits(time_limit_s=1e-9))
-    assert r.iterations == 1
-    assert not r.converged
     one = run(inst, graph=g, limits=CgLimits(early_stop_iterations=1))
-    assert (r.lp_bound, r.ip_value, r.routes) == \
-        (one.lp_bound, one.ip_value, one.routes)
-    assert r.lp_bound >= r.ip_value - 1e-6
+    for limit in (1e-9, 0.0):
+        r = run(inst, graph=g, limits=CgLimits(time_limit_s=limit))
+        assert r.iterations == 1
+        assert not r.converged
+        assert (r.lp_bound, r.ip_value, r.routes) == \
+            (one.lp_bound, one.ip_value, one.routes)
+        assert r.lp_bound >= r.ip_value - 1e-6
 
 
 def test_relaxation_counter_exposed_per_call():
@@ -254,8 +266,18 @@ def test_relaxation_counter_exposed_per_call():
 def test_no_dummy_in_final_plan():
     for seed in range(5):
         inst = generate(GenParams(n_users=8, seed=seed))
-        r = run(inst)
-        assert not any(route.dummy for route in r.plan.routes)
+        r = run(inst, build_graph(inst, enumerate_variants(inst)))
+        assert not any(is_relocation(route) for route in r.plan.routes)
+
+
+def test_columns_generated_leaves_out_initial_routes():
+    inst, g = small_graph(seed=7, n_users=5)
+    full = run(inst, g)
+    assert full.columns_generated > 0
+    seeded = run(inst, g, initial_routes=full.routes)
+    assert seeded.columns_generated == \
+        sum(row.columns_added for row in seeded.log)
+    assert len(seeded.routes) == len(full.routes) + seeded.columns_generated
 
 
 def test_plan_stats_recompute_from_routes():
@@ -279,7 +301,7 @@ def test_restricted_ip_keeps_integral_lp():
     inst, g = small_graph(seed=9, n_users=3)
     r = run(inst, graph=g)
     if abs(r.lp_bound - r.ip_value) <= 1e-9:
-        master = init_master(inst)
+        master = RestrictedMaster(inst)
         for route in r.routes[len(master.routes):]:
             master.add_route(route)
         ip_value, plan, status = solve_restricted_ip(inst, g, master)

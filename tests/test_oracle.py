@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import SIGMA, make_instance, make_task
-from mmcrp.colgen import run
+from mmcrp.colgen import HEURISTICS, SCHEMES, run
 from mmcrp.edgeform import solve_edge
 from mmcrp.instgen import GenParams, generate
 from mmcrp.model import ALL_MOTS, CAR
@@ -47,6 +47,14 @@ def test_random_tiny_instances_match_edge_formulation():
     assert checked >= 8
 
 
+def _tiny_instance(seed):
+    """One depot on even seeds and two on odd ones, one vehicle each."""
+    n_depots = 1 + seed % 2
+    return generate(GenParams(n_users=2 + seed % 3, n_depots=n_depots,
+                              vehicles_per_depot=[1] * n_depots,
+                              seed=seed, tasks_max=2))
+
+
 def _edge_cases(inst):
     """The instance and its edge cases, each with its caps: five, and on two
     depots a sixth where depot 0 returns one vehicle fewer and depot 1 one
@@ -81,11 +89,7 @@ def test_edge_cases_agree_with_the_oracle():
     no assignment, both solvers report 'infeasible' and no plan."""
     checked = 0
     for seed in range(24):
-        n_depots = 1 + seed % 2
-        inst = generate(GenParams(n_users=2 + seed % 3, n_depots=n_depots,
-                                  vehicles_per_depot=[1] * n_depots,
-                                  seed=seed, tasks_max=2))
-        for case, edge_case, caps in _edge_cases(inst):
+        for case, edge_case, caps in _edge_cases(_tiny_instance(seed)):
             edge_case.validate()
             graph = build_graph(edge_case, enumerate_variants(edge_case, caps))
             if len(graph.ride_edges) > 25:
@@ -103,6 +107,27 @@ def test_edge_cases_agree_with_the_oracle():
             assert cg.lp_bound >= oracle_value - 1e-6, where
             assert cg.ip_value <= oracle_value + 1e-6, where
     assert checked >= 120
+
+
+def test_unmet_return_is_infeasible_on_every_pricing_path():
+    """Where the oracle finds no assignment for the moved return, every
+    scheme and heuristic reports 'infeasible' and no plan: the restricted IP
+    can then only meet the depot rows with a relocation column."""
+    checked = 0
+    for seed in range(1, 24, 2):
+        case, edge_case, caps = list(_edge_cases(_tiny_instance(seed)))[-1]
+        assert case == "one return moved"
+        graph = build_graph(edge_case, enumerate_variants(edge_case, caps))
+        if len(graph.ride_edges) > 25 or \
+                brute_force(edge_case, graph) is not None:
+            continue
+        for scheme in SCHEMES:
+            for heuristic in HEURISTICS:
+                cg = run(edge_case, graph, scheme=scheme, heuristic=heuristic)
+                assert (cg.ip_status, cg.plan) == ("infeasible", None), \
+                    f"seed {seed}, {scheme}/{heuristic}"
+        checked += 1
+    assert checked == 9
 
 
 def test_size_guard_reports_dimensions():

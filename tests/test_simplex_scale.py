@@ -88,8 +88,10 @@ def test_column_generation_master_lps(monkeypatch, users, vehicles, seed, scheme
         calls.append((snapshot(problem), bounds, state is not None, sol))
         return sol
 
+    inst = instance(users, vehicles, seed)
+    graph = build_graph(inst, enumerate_variants(inst))
     monkeypatch.setattr(milp, "solve_lp", spy)
-    colgen.run(instance(users, vehicles, seed), scheme=scheme)
+    colgen.run(inst, graph, scheme=scheme)
     monkeypatch.undo()
     assert sum(warm for _, _, warm, _ in calls) >= 3
     for p, bounds, _, got in calls:
