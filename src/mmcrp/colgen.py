@@ -62,7 +62,7 @@ class RestrictedMaster:
     ordered depot pair: an empty route between two different depots, worth
     -RELOCATION_PENALTY. No graph path has that shape, since waiting edges
     never change depot. These seed columns keep the depot equality rows
-    feasible for any inventory with matching totals.
+    feasible for any inventory, since an Instance has matching totals.
 
     Columns get no explicit upper bound: any task-covering route is capped at
     one by its coverage rows and idle/relocation columns are capped by the
@@ -71,10 +71,6 @@ class RestrictedMaster:
     """
 
     def __init__(self, instance: Instance):
-        if sum(d.vehicles_start for d in instance.depots) != \
-                sum(d.vehicles_end for d in instance.depots):
-            raise milp.MilpError("total start and end vehicle counts differ; "
-                                 "the depot equality rows are infeasible")
         depot_ids = sorted(d.id for d in instance.depots)
         self.task_row: dict[int, int] = {}
         rows: list[tuple[str, float]] = []

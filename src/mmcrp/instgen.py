@@ -26,6 +26,7 @@ from .model import (
     MotParams,
     Task,
     UserTrip,
+    ValidationError,
     default_mots,
     travel_time,
 )
@@ -58,7 +59,7 @@ CAR_EMISSION_T_PER_KM = 0.0002
 COSTS = CostParams()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenParams:
     """Knobs of the generator; the rest of its calibration is the module
     constants above."""
@@ -69,7 +70,7 @@ class GenParams:
     seed: int = 0
     tasks_max: int = 4
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_users < 1:
             raise GenerationError("n_users must be >= 1")
         if self.n_depots < 1:
@@ -119,7 +120,6 @@ def _draw_location(rng, prev_loc: Location, pool: list[Location],
 
 def generate(params: GenParams) -> Instance:
     """Draw one deterministic instance for the given parameter set and seed."""
-    params.validate()
     rng = np.random.default_rng(params.seed)
     mots = default_mots(CAR_EMISSION_T_PER_KM)
     depot_locs = _depot_locations(params.n_depots)
@@ -191,9 +191,7 @@ def generate(params: GenParams) -> Instance:
             "no user trip fits the workday; widen the horizon or shrink travel times"
         )
 
-    instance = Instance(depots, tuple(users), mots, COSTS, SIGMA_S, TAU_S)
-    instance.validate()
-    return instance
+    return Instance(depots, tuple(users), mots, COSTS, SIGMA_S, TAU_S)
 
 
 # --- instance file format -------------------------------------------------
@@ -258,6 +256,8 @@ def instance_from_dict(doc: dict) -> Instance:
         for i, entry in enumerate(mot_docs):
             where = f"mots[{i}]"
             kwargs = {f: entry[f] for f in _MOT_FIELDS}
+            if entry["mot"] in mots:
+                raise ValidationError(f"duplicate mot {entry['mot']!r}")
             mots[entry["mot"]] = MotParams(entry["mot"], **kwargs)
 
         where = "costs"
@@ -281,18 +281,16 @@ def instance_from_dict(doc: dict) -> Instance:
             tasks = []
             for j, tdoc in enumerate(entry["tasks"]):
                 where = f"users[{i}].tasks[{j}]"
-                task = Task(next_task,
-                            Location(float(tdoc["x_km"]), float(tdoc["y_km"])),
-                            int(tdoc["latest_arrival_s"]),
-                            int(tdoc["earliest_departure_s"]))
-                task.validate()
-                tasks.append(task)
+                tasks.append(Task(next_task,
+                                  Location(float(tdoc["x_km"]), float(tdoc["y_km"])),
+                                  int(tdoc["latest_arrival_s"]),
+                                  int(tdoc["earliest_departure_s"])))
                 next_task += 1
+            where = f"users[{i}]"
             users.append(UserTrip(user_id, start, end, tuple(tasks), allowed))
 
         where = "instance"
         instance = Instance(tuple(depots), tuple(users), mots, costs, sigma, tau)
-        instance.validate()
     except KeyError as exc:
         raise InstanceFormatError(f"{where}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,9 +1,10 @@
 """Domain types plus the travel-time, cost and savings calculus.
 
 All times are integer seconds from midnight (rounding happens once, at the
-travel-time boundary); all costs are real-valued euros. Every type is
-immutable after construction and every operation is a pure function, so the
-whole module is safe for concurrent read access.
+travel-time boundary); all costs are real-valued euros. Every type checks
+its invariants when built (raising ValidationError) and is immutable after
+construction, and every operation is a pure function, so the whole module is
+safe for concurrent read access.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ class Location:
 class Task:
     """One meeting: fixed latest arrival and (service-shifted) earliest departure.
 
-    Depot endpoints of a trip are modelled as pseudo-tasks (negative id) with
-    latest_arrival = tau and earliest_departure = sigma; those intentionally
-    bypass the earliest >= latest invariant that holds for real tasks.
+    Depot endpoints of a trip are pseudo-tasks (negative id), built only by
+    extended_sequence, with latest_arrival = tau and earliest_departure =
+    sigma; construction exempts them from the earliest >= latest check that
+    every real task passes.
     """
 
     id: int
@@ -112,8 +114,9 @@ class Task:
     def is_depot_endpoint(self) -> bool:
         return self.id < 0
 
-    def validate(self):
-        if self.earliest_departure_s < self.latest_arrival_s:
+    def __post_init__(self):
+        if not self.is_depot_endpoint and \
+                self.earliest_departure_s < self.latest_arrival_s:
             raise ValidationError(
                 f"task {self.id}: earliest_departure_s "
                 f"({self.earliest_departure_s}) < latest_arrival_s ({self.latest_arrival_s})"
@@ -130,11 +133,9 @@ class UserTrip:
     tasks: tuple[Task, ...]
     allowed_mots: frozenset[str]
 
-    def validate(self):
+    def __post_init__(self):
         if not self.tasks:
             raise ValidationError(f"user {self.user_id} has no tasks")
-        for t in self.tasks:
-            t.validate()
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class Depot:
     vehicles_start: int
     vehicles_end: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.vehicles_start < 0 or self.vehicles_end < 0:
             raise ValidationError(f"depot {self.id}: vehicle counts must be >= 0")
 
@@ -177,7 +178,7 @@ class Instance:
     def all_tasks(self) -> list[Task]:
         return [t for u in self.users for t in u.tasks]
 
-    def validate(self):
+    def __post_init__(self):
         if self.sigma_s >= self.tau_s:
             raise ValidationError("horizon: sigma_s must be < tau_s")
         if CAR not in self.mots:
@@ -193,11 +194,8 @@ class Instance:
             d.vehicles_end for d in self.depots
         ):
             raise ValidationError("total start and end vehicle counts must match")
-        for d in self.depots:
-            d.validate()
         seen_tasks: set[int] = set()
         for u in self.users:
-            u.validate()
             if u.start_depot not in depot_ids or u.end_depot not in depot_ids:
                 raise ValidationError(f"user {u.user_id}: unknown depot reference")
             if not u.allowed_mots <= set(self.mots):
@@ -223,23 +221,13 @@ class Instance:
                                       f"instance is not finite") from None
 
 
-def depot_pseudo_task(depot: Depot, sigma_s: int, tau_s: int,
-                      at_start: bool) -> Task:
-    """Depot endpoint as a pseudo-task: arriving is free until tau, leaving from sigma."""
-    return Task(
-        id=-1 if at_start else -2,
-        loc=depot.loc,
-        latest_arrival_s=tau_s,
-        earliest_departure_s=sigma_s,
-    )
-
-
 def extended_sequence(instance: Instance, user: UserTrip) -> list[Task]:
-    """User's task sequence with the depot endpoints prepended/appended."""
-    start = depot_pseudo_task(instance.depot(user.start_depot),
-                              instance.sigma_s, instance.tau_s, at_start=True)
-    end = depot_pseudo_task(instance.depot(user.end_depot),
-                            instance.sigma_s, instance.tau_s, at_start=False)
+    """User's task sequence with the depot endpoints prepended/appended, as
+    pseudo-tasks: arriving is free until tau, leaving possible from sigma."""
+    start = Task(-1, instance.depot(user.start_depot).loc,
+                 instance.tau_s, instance.sigma_s)
+    end = Task(-2, instance.depot(user.end_depot).loc,
+               instance.tau_s, instance.sigma_s)
     return [start, *user.tasks, end]
 
 

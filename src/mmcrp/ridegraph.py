@@ -24,6 +24,7 @@ from .model import (
     Instance,
     Task,
     UserTrip,
+    ValidationError,
     cheapest_other_mot,
     leg_cost,
     leg_saving_plain,
@@ -44,6 +45,11 @@ class Caps:
 
     max_shares_per_trip: Optional[int] = 3
     max_variants_per_user: Optional[int] = 200
+
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap is not None and cap < 0:
+                raise ValidationError(f"{name} must be >= 0 or None, got {cap}")
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ def make_instance(depot_locs, users, vehicles=(1, 1), mots=None, costs=None,
         UserTrip(uid, a, b, tuple(tasks), frozenset(allowed))
         for uid, (a, b, allowed, tasks) in enumerate(users)
     )
-    inst = Instance(depots, trips, mots or default_mots(),
+    return Instance(depots, trips, mots or default_mots(),
                     costs or CostParams(), sigma, tau)
-    inst.validate()
-    return inst
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,9 @@ def write_probes(directory: Path):
     for name, *edits in [
             ("number.json", ((), 5)),
             ("speed_text.json", (("mots", 0, "speed_kmh"), "fast")),
+            # a second 'car' entry, at walking speed
+            ("duplicate_mot.json", (("mots",), doc["mots"] + [
+                dict(doc["mots"][1], speed_kmh=5.0)])),
             ("user_number.json", (("users", 0), 7)),
             ("task_nan.json", (("users", 0, "tasks", 0, "x_km"), math.nan)),
             ("task_inf.json", (("users", 0, "tasks", 0, "latest_arrival_s"), 1e400)),
@@ -158,6 +161,7 @@ def test_malformed_instance_is_io_error(tmp_path):
 @pytest.mark.parametrize("argv,code", [
     ("solve number.json", 1),
     ("solve speed_text.json", 1),
+    ("solve duplicate_mot.json", 1),
     ("solve user_number.json", 1),
     ("solve task_nan.json", 1),
     ("solve binary.json", 1),

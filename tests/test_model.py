@@ -10,12 +10,15 @@ from mmcrp.model import (
     NO_MOT,
     OTHER_MOTS,
     CostParams,
+    Depot,
+    Instance,
     Location,
     MotParams,
     Task,
     UserTrip,
     ValidationError,
     cheapest_other_mot,
+    default_mots,
     leg_cost,
     leg_saving_plain,
     leg_saving_share,
@@ -323,6 +326,21 @@ def test_mot_params_invariants():
 
 
 def test_task_validation():
-    bad = Task(0, O, SIGMA + 100, SIGMA + 50)
-    with pytest.raises(ValidationError):
-        bad.validate()
+    with pytest.raises(ValidationError, match="earliest_departure_s"):
+        Task(0, O, SIGMA + 100, SIGMA + 50)
+    # a depot pseudo-task leaves at sigma and may arrive until tau
+    assert Task(-1, O, TAU, SIGMA).is_depot_endpoint
+
+
+def test_invalid_objects_raise_at_construction():
+    with pytest.raises(ValidationError, match="has no tasks"):
+        UserTrip(0, 0, 0, (), frozenset(ALL_MOTS))
+    with pytest.raises(ValidationError, match="vehicle counts must be >= 0"):
+        Depot(0, O, -1, 0)
+    u = user()
+    with pytest.raises(ValidationError, match="start and end vehicle counts"):
+        Instance((Depot(0, O, 1, 2),), (u,), default_mots(), CostParams(),
+                 SIGMA, TAU)
+    with pytest.raises(ValidationError, match="sigma_s must be < tau_s"):
+        Instance((Depot(0, O, 1, 1),), (u,), default_mots(), CostParams(),
+                 TAU, TAU)

@@ -189,6 +189,14 @@ def test_variant_cap_truncates_deterministically():
         assert a.stats.truncated_users
 
 
+def test_negative_cap_is_rejected():
+    # -1 means "unlimited" only on the command line; the library spells it None
+    with pytest.raises(ValueError, match="max_shares_per_trip"):
+        Caps(-1)
+    with pytest.raises(ValueError, match="max_variants_per_user"):
+        Caps(max_variants_per_user=-1)
+
+
 # --- graph assembly ----------------------------------------------------------
 
 def test_zero_users_graph_is_waiting_chains():
