@@ -7,7 +7,6 @@ exact and heuristic pricing.
 """
 
 from .colgen import (
-    CgLimits,
     CgResult,
     DualPrices,
     RestrictedMaster,

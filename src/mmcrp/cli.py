@@ -70,10 +70,8 @@ def _add_solve_flags(p: argparse.ArgumentParser):
                    help="stop column generation after N iterations (0 = off)")
     p.add_argument("--time-limit", type=_at_least(0, float), default=0.0,
                    metavar="S",
-                   help="wall-clock limit for column generation (0 = off)")
-    p.add_argument("--ip-time-limit", type=_at_least(0, float), default=0.0,
-                   metavar="S",
-                   help="wall-clock limit for the restricted IP (0 = off)")
+                   help="wall-clock limit for each solve: column generation "
+                        "and then its IP, or the edge model (0 = off)")
     p.add_argument("--joint-k", action="store_true",
                    help="use one common fallback mode for both legs of a share")
     p.add_argument("--max-shares", type=_at_least(-1), default=3,
@@ -83,11 +81,10 @@ def _add_solve_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path prefix")
 
 
-def _limits(args) -> colgen.CgLimits:
-    return colgen.CgLimits(
-        early_stop_iterations=args.early_stop or None,
-        time_limit_s=args.time_limit or None,
-    )
+def _limits(args) -> dict:
+    """The solve limits as keyword arguments; the CLI's 0 means no limit."""
+    return {"early_stop": args.early_stop or None,
+            "time_limit_s": args.time_limit or None}
 
 
 def cmd_gen(args) -> int:
@@ -127,9 +124,10 @@ def cmd_solve(args) -> int:
     if args.dump_graph:
         dump_edges(graph, f"{prefix}.edges.csv")
 
+    limits = _limits(args)
     if args.edge:
         res = edgeform.solve_edge(graph, instance,
-                                  time_limit_s=args.time_limit or None)
+                                  time_limit_s=limits["time_limit_s"])
         doc = {
             "instance": str(args.instance),
             "solver": "edge",
@@ -145,8 +143,7 @@ def cmd_solve(args) -> int:
         return 0
 
     result = colgen.run(instance, scheme=args.scheme, heuristic=args.heuristic,
-                        limits=_limits(args), graph=graph,
-                        ip_time_limit_s=args.ip_time_limit or None)
+                        graph=graph, **limits)
     doc = {
         "instance": str(args.instance),
         "solver": "colgen",
@@ -193,8 +190,7 @@ def cmd_sweep(args) -> int:
     for m in args.vehicles:
         inst_m = _with_fleet(instance, m)
         result = colgen.run(inst_m, scheme=args.scheme, heuristic=args.heuristic,
-                            limits=_limits(args), graph=graph,
-                            ip_time_limit_s=args.ip_time_limit or None)
+                            graph=graph, **_limits(args))
         plan = result.plan
         rows.append([m, f"{result.ip_value:.6f}", f"{plan.rides_per_car:.4f}",
                      f"{plan.shares_per_ride:.4f}"] if plan else [m, "", "", ""])
@@ -226,27 +222,24 @@ def _with_fleet(instance: Instance, total: int) -> Instance:
 
 def compare_baselines(instance: Instance, caps: Caps, scheme: str = "multiple",
                       heuristic: str = "none", joint_k: bool = False,
-                      limits: colgen.CgLimits | None = None,
-                      ip_time_limit_s: float | None = None) -> dict:
+                      early_stop: int | None = None,
+                      time_limit_s: float | None = None) -> dict:
     """Solve the full problem, car-sharing only (no ride-shares) and
     user-dependent assignment (one car per user for the whole day); the full
     master is seeded with the car-sharing columns so the ratios are exact
-    supersets."""
+    supersets. time_limit_s bounds each of the three solves."""
     variants = enumerate_variants(instance, caps, joint_k=joint_k)
     graph_full = build_graph(instance, variants)
     base_variants = [v for v in variants.all if not v.shares]
     graph_base = build_graph(instance, base_variants)
 
-    carshare = colgen.run(instance, scheme=scheme, heuristic=heuristic,
-                          limits=limits, graph=graph_base,
-                          ip_time_limit_s=ip_time_limit_s)
+    carshare = colgen.run(instance, graph_base, scheme, heuristic, early_stop,
+                          time_limit_s)
     seed_routes = [r for r in carshare.routes if r.covered]
-    full = colgen.run(instance, scheme=scheme, heuristic=heuristic,
-                      limits=limits, graph=graph_full,
-                      initial_routes=seed_routes,
-                      ip_time_limit_s=ip_time_limit_s)
+    full = colgen.run(instance, graph_full, scheme, heuristic, early_stop,
+                      time_limit_s, seed_routes)
     userdep_value, userdep_plan, userdep_status = colgen.solve_single_assignment(
-        instance, graph_full, base_variants, time_limit_s=ip_time_limit_s)
+        instance, graph_full, base_variants, time_limit_s)
 
     def ratio(a, b):
         return a / b if b and abs(b) > 1e-9 and not math.isnan(b) else math.nan
@@ -265,8 +258,7 @@ def cmd_compare(args) -> int:
     prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
     doc = compare_baselines(instance, _caps(args), scheme=args.scheme,
                             heuristic=args.heuristic, joint_k=args.joint_k,
-                            limits=_limits(args),
-                            ip_time_limit_s=args.ip_time_limit or None)
+                            **_limits(args))
     doc = {k: _none_if_nan(v) for k, v in doc.items()}
     doc["instance"] = str(args.instance)
     _write_json(Path(f"{prefix}.compare.json"), doc)

@@ -241,12 +241,6 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
 
 
 @dataclass
-class CgLimits:
-    early_stop_iterations: Optional[int] = None
-    time_limit_s: Optional[float] = None
-
-
-@dataclass
 class IterationLog:
     iteration: int
     lp_objective: float
@@ -353,21 +347,29 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
 
 
 def run(instance: Instance, graph: TimeSpaceGraph, scheme: str = "multiple",
-        heuristic: str = "none", limits: Optional[CgLimits] = None,
-        initial_routes: Optional[Iterable[Route]] = None,
-        ip_time_limit_s: Optional[float] = None) -> CgResult:
+        heuristic: str = "none", early_stop: Optional[int] = None,
+        time_limit_s: Optional[float] = None,
+        initial_routes: Optional[Iterable[Route]] = None) -> CgResult:
     """Delayed column generation followed by the restricted-master IP.
 
     Iterates: solve the restricted LP, price once per start depot on the
     current phase's graph, add columns according to the scheme, until no
     column prices above the threshold or a limit is hit. A heuristic phase
     never resumes once the exact phase has started.
+
+    early_stop caps the pricing iterations. time_limit_s bounds the whole
+    call: the loop stops after the first LP solve past it, and the IP gets
+    what is left (possibly 0.0, which still evaluates its root). An LP that
+    is running when the time runs out finishes.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic '{heuristic}'")
-    limits = limits or CgLimits()
+    if early_stop is not None and early_stop < 1:
+        raise ValueError(f"early_stop must be >= 1 or None, got {early_stop}")
+    if time_limit_s is not None and not time_limit_s >= 0:
+        raise ValueError(f"time_limit_s must be >= 0 or None, got {time_limit_s}")
     t_start = time.perf_counter()
 
     # the graph being priced: the heuristic's reduction until the exact phase
@@ -420,15 +422,15 @@ def run(instance: Instance, graph: TimeSpaceGraph, scheme: str = "multiple",
             converged = True
             certified = not picked
             break
-        if limits.early_stop_iterations and iterations >= limits.early_stop_iterations:
-            limit_hit = True
-        elif (limits.time_limit_s is not None
-              and time.perf_counter() - t_start > limits.time_limit_s):
-            limit_hit = True
+        limit_hit = ((early_stop is not None and iterations >= early_stop)
+                     or (time_limit_s is not None
+                         and time.perf_counter() - t_start > time_limit_s))
 
     t0 = time.perf_counter()
+    ip_limit_s = None if time_limit_s is None else \
+        max(0.0, time_limit_s - (t0 - t_start))
     ip_value, plan, ip_status = solve_restricted_ip(instance, graph, master,
-                                                    ip_time_limit_s)
+                                                    ip_limit_s)
     ip_s = time.perf_counter() - t0
 
     if math.isnan(ip_value):

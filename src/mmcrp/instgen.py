@@ -55,7 +55,6 @@ OTHER_MOT_PROB = 0.8
 # P(a user makes 1, 2, 3 simple trips); mean ~1.55 trips per user.
 SIMPLE_TRIP_PROBS = (0.55, 0.35, 0.10)
 SAME_DEPOT_PROB = 0.9
-CAR_EMISSION_T_PER_KM = 0.0002
 COSTS = CostParams()
 
 
@@ -121,7 +120,7 @@ def _draw_location(rng, prev_loc: Location, pool: list[Location],
 def generate(params: GenParams) -> Instance:
     """Draw one deterministic instance for the given parameter set and seed."""
     rng = np.random.default_rng(params.seed)
-    mots = default_mots(CAR_EMISSION_T_PER_KM)
+    mots = default_mots()
     depot_locs = _depot_locations(params.n_depots)
     if isinstance(params.vehicles_per_depot, int):
         vehicles = [params.vehicles_per_depot] * params.n_depots

@@ -68,16 +68,17 @@ class CostParams:
             raise ValidationError("cost parameters must be finite and nonnegative")
 
 
-def default_mots(car_emission_t_per_km: float = 0.0002) -> dict[str, MotParams]:
+def default_mots() -> dict[str, MotParams]:
     """The standard five-mode parameter table.
 
     Speeds (km/h), fixed overheads (s) and sloping factors follow the usual
     urban calibration: car 30/600/1.3, walk 5/0/1.1, bike 16/120/1.3,
     public 20/300/1.5, taxi 30/300/1.3. Distance cost is 0.188 EUR/km for the
-    car, 1.2 EUR/km for taxi and zero otherwise; only the car emits.
+    car, 1.2 EUR/km for taxi and zero otherwise; only the car emits, 0.0002 t
+    of CO2 per km.
     """
     return {
-        CAR: MotParams(CAR, 30.0, 600, 1.3, 0.188, car_emission_t_per_km),
+        CAR: MotParams(CAR, 30.0, 600, 1.3, 0.188, 0.0002),
         WALK: MotParams(WALK, 5.0, 0, 1.1, 0.0),
         BIKE: MotParams(BIKE, 16.0, 120, 1.3, 0.0),
         PUBLIC: MotParams(PUBLIC, 20.0, 300, 1.5, 0.0),
@@ -102,7 +103,8 @@ class Task:
     Depot endpoints of a trip are pseudo-tasks (negative id), built only by
     extended_sequence, with latest_arrival = tau and earliest_departure =
     sigma; construction exempts them from the earliest >= latest check that
-    every real task passes.
+    every real task passes, and an Instance rejects a user task with a
+    negative id.
     """
 
     id: int
@@ -201,6 +203,9 @@ class Instance:
             if not u.allowed_mots <= set(self.mots):
                 raise ValidationError(f"user {u.user_id}: unknown mode in allowed_mots")
             for t in u.tasks:
+                if t.id < 0:
+                    raise ValidationError(
+                        f"task {t.id} of user {u.user_id}: id must be >= 0")
                 if t.id in seen_tasks:
                     raise ValidationError(f"duplicate task id {t.id}")
                 seen_tasks.add(t.id)

@@ -39,7 +39,7 @@ class GraphConstructionError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
     """Enumeration limits; None disables a cap."""
 

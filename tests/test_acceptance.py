@@ -11,7 +11,7 @@ import pytest
 
 from mmcrp import colgen
 from mmcrp.cli import _with_fleet, compare_baselines
-from mmcrp.colgen import CgLimits, DualPrices, price, run
+from mmcrp.colgen import DualPrices, price, run
 from mmcrp.edgeform import solve_edge
 from mmcrp.instgen import GenParams, generate
 from mmcrp.milp import LE, MilpProblem, solve_ip, solve_lp
@@ -125,8 +125,7 @@ def test_criterion_5_early_termination():
         inst = _with_fleet(inst, 20)
         graph = build_graph(inst, enumerate_variants(inst))
         full = run(inst, scheme="best", graph=graph)
-        early = run(inst, scheme="best", graph=graph,
-                    limits=CgLimits(early_stop_iterations=50))
+        early = run(inst, scheme="best", graph=graph, early_stop=50)
         rel = 100.0 * (full.lp_bound - early.ip_value) / full.lp_bound
         speedup = full.total_s / max(early.total_s, 1e-9)
         ok &= rel <= 10.0 and speedup >= 2.0

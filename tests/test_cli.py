@@ -279,7 +279,7 @@ def test_time_limit_keeps_the_solved_root(tmp_path):
     run_cli("gen", "--users", "6", "--vehicles", "0", "--seed", "3",
             "--out-dir", str(tmp_path))
     assert run_cli("solve", str(tmp_path / "E_6_3.json"),
-                   "--ip-time-limit", "1e-9", "--early-stop", "1") == 0
+                   "--time-limit", "1e-9") == 0
     cg = json.loads((tmp_path / "E_6_3.result.json").read_text())
     assert (cg["ip_status"], cg["ip_value"]) == ("optimal", 0.0)
 
@@ -319,8 +319,7 @@ def test_sweep_bad_vehicles_is_usage_error(tmp_path, capsys, vehicles):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--early-stop", "-1"), ("--time-limit", "-1"), ("--ip-time-limit", "-0.5"),
-    ("--time-limit", "nan"), ("--max-shares", "-5"), ("--max-variants", "-2"),
+    ("--early-stop", "-1"), ("--time-limit", "-1"), ("--time-limit", "nan"), ("--max-shares", "-5"), ("--max-variants", "-2"),
     ("--early-stop", "1.5")])
 def test_solve_bad_limit_is_usage_error(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -330,13 +329,24 @@ def test_solve_bad_limit_is_usage_error(tmp_path, capsys, flag, value):
     assert last.startswith(f"mmcrp solve: error: argument {flag}:")
 
 
+def test_ip_time_limit_is_gone(tmp_path, capsys):
+    # --time-limit bounds the whole solve; the IP has no clock of its own
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", str(tmp_path / "x.json"), "--ip-time-limit", "1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == \
+        "mmcrp: error: unrecognized arguments: --ip-time-limit 1"
+
+
 def test_solve_limits_accept_their_lower_ends():
     args = cli.build_parser().parse_args(
         ["solve", "x.json", "--early-stop", "0", "--time-limit", "0",
-         "--ip-time-limit", "0", "--max-shares", "-1", "--max-variants", "-1"])
+         "--max-shares", "-1", "--max-variants", "-1"])
     assert cli._caps(args) == Caps(max_shares_per_trip=None,
                                    max_variants_per_user=None)
-    assert (args.early_stop, args.time_limit, args.ip_time_limit) == (0, 0.0, 0.0)
+    assert cli._limits(args) == {"early_stop": None, "time_limit_s": None}
 
 
 def test_sweep_monotone_and_zero_row(tmp_path):

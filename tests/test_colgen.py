@@ -4,9 +4,8 @@ import random
 import pytest
 
 from conftest import SIGMA, make_instance, make_task
-from mmcrp import colgen
+from mmcrp import colgen, milp
 from mmcrp.colgen import (
-    CgLimits,
     DualPrices,
     RestrictedMaster,
     Route,
@@ -231,7 +230,7 @@ def test_termination_certificate():
 def test_early_stop_limits_iterations():
     inst = generate(GenParams(n_users=15, seed=4))
     g = build_graph(inst, enumerate_variants(inst))
-    r = run(inst, g, scheme="first", limits=CgLimits(early_stop_iterations=5))
+    r = run(inst, g, scheme="first", early_stop=5)
     assert r.iterations == 5
     assert not r.converged
     full = run(inst, g, scheme="first")
@@ -244,14 +243,42 @@ def test_time_limit_stops_like_one_iteration(seed):
     # a limit this small is hit after the first pricing round; 0.0 is a
     # limit too, not "no limit"
     inst, g = small_graph(seed=seed)
-    one = run(inst, graph=g, limits=CgLimits(early_stop_iterations=1))
+    one = run(inst, graph=g, early_stop=1)
     for limit in (1e-9, 0.0):
-        r = run(inst, graph=g, limits=CgLimits(time_limit_s=limit))
+        r = run(inst, graph=g, time_limit_s=limit)
         assert r.iterations == 1
         assert not r.converged
         assert (r.lp_bound, r.ip_value, r.routes) == \
             (one.lp_bound, one.ip_value, one.routes)
         assert r.lp_bound >= r.ip_value - 1e-6
+
+
+@pytest.mark.parametrize("limit", [1e-9, 0.5, 60.0])
+def test_time_limit_bounds_the_ip_too(monkeypatch, limit):
+    # the restricted IP runs on what is left of the one budget
+    inst, g = small_graph(seed=1)
+    handed = []
+    solve_ip = milp.solve_ip
+
+    def spy(problem, time_limit_s=None):
+        handed.append(time_limit_s)
+        return solve_ip(problem, time_limit_s=time_limit_s)
+
+    monkeypatch.setattr(milp, "solve_ip", spy)
+    run(inst, graph=g, time_limit_s=limit)
+    # the clock started before the IP, so less than the limit is left
+    assert len(handed) == 1 and 0.0 <= handed[0] < limit
+    run(inst, graph=g)
+    assert handed[1] is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"early_stop": 0}, {"early_stop": -1}, {"time_limit_s": -1.0},
+    {"time_limit_s": math.nan}])
+def test_bad_limit_is_rejected(kwargs):
+    inst, g = small_graph(seed=1)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        run(inst, graph=g, **kwargs)
 
 
 def test_relaxation_counter_exposed_per_call():

@@ -344,3 +344,9 @@ def test_invalid_objects_raise_at_construction():
     with pytest.raises(ValidationError, match="sigma_s must be < tau_s"):
         Instance((Depot(0, O, 1, 1),), (u,), default_mots(), CostParams(),
                  TAU, TAU)
+    # a negative id marks a depot pseudo-task, never a user's task
+    neg = UserTrip(0, 0, 0, (Task(-3, O, SIGMA + 3600, SIGMA + 1800),),
+                   frozenset(ALL_MOTS))
+    with pytest.raises(ValidationError, match="task -3 of user 0: id must be"):
+        Instance((Depot(0, O, 1, 1),), (neg,), default_mots(), CostParams(),
+                 SIGMA, TAU)

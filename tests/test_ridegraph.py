@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import random
 
@@ -195,6 +196,10 @@ def test_negative_cap_is_rejected():
         Caps(-1)
     with pytest.raises(ValueError, match="max_variants_per_user"):
         Caps(max_variants_per_user=-1)
+    # nor can a valid one be made negative afterwards
+    caps = Caps()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        caps.max_variants_per_user = -1
 
 
 # --- graph assembly ----------------------------------------------------------
