@@ -88,7 +88,6 @@ def _limits(args) -> dict:
 
 
 def cmd_gen(args) -> int:
-    number = args.instance_number if args.instance_number is not None else args.seed
     params = GenParams(
         n_users=args.users,
         n_depots=args.depots,
@@ -96,7 +95,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     instance = generate(params)
-    out = Path(args.out_dir) / f"E_{args.users}_{number}.json"
+    out = Path(args.out_dir) / f"E_{args.users}_{args.seed}.json"
     write_instance(instance, out)
     log.info("wrote %s (%d simple trips, %d tasks)", out,
              len(instance.users), len(instance.all_tasks()))
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vehicles", type=int, default=4,
                    help="total fleet, split equally over depots")
     g.add_argument("--seed", type=_at_least(0), default=0)
-    g.add_argument("--instance-number", type=int, default=None,
-                   help="number I in E_<users>_<I>.json (default: the seed)")
     g.add_argument("--out-dir", default=".")
     g.set_defaults(func=cmd_gen)
 

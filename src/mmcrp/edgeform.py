@@ -1,11 +1,9 @@
 """Direct edge formulation over the time-space graph, solved as one MILP.
 
-Row layout: one flow-conservation equality per intermediate node, one
-departure equality per depot (W_d), one return equality per depot (W-bar_d),
-and one at-most-once row per task. Ride edges are binaries; waiting edges
-are general integers with the fleet size as upper bound -- several idle
-vehicles must be able to sit on the same waiting edge, so a blanket binary
-domain would under-count idle flow.
+One row per node (out - in = supply), one per task. Ride edges are
+binaries; waiting edges are general integers with the fleet size as upper
+bound -- several idle vehicles must be able to sit on the same waiting edge,
+so a blanket binary domain would under-count idle flow.
 
 This model exists as the exact desk-scale baseline; the graph blows up
 quickly with ride-sharing, so a size guard refuses models of more than
@@ -22,7 +20,7 @@ from .model import Instance
 from .ridegraph import RIDE, TimeSpaceGraph
 from .solution import Plan, Route, build_plan
 
-#: largest rows times columns the dense simplex is asked to handle
+#: largest rows times columns of an edge model handed to `milp.solve_ip`
 MAX_CELLS = 6_000_000
 
 
@@ -46,24 +44,11 @@ class EdgeResult:
 
 def build_edge_model(graph: TimeSpaceGraph, instance: Instance) -> EdgeModel:
     """One binary column per ride edge, one integer column per waiting edge;
-    exactly |V'| + 2|D| + |Q| rows.
-
-    Every node has one flow row and a sign: an interior node its
-    conservation row (+1), a source its departure row (-1), a sink its
-    return row (+1). An edge enters its head's row with the head's sign and
-    its tail's row with the opposite of the tail's sign. Every edge strictly
-    increases time, so no edge leaves a sink or enters a source."""
-    depot_ids = sorted(graph.source)
-    depot_nodes = set(graph.source.values()) | set(graph.sink.values())
-    node_row = {v: (i, 1.0) for i, v in enumerate(
-        v for v in range(len(graph.nodes)) if v not in depot_nodes)}
-    rows: list[tuple[str, float]] = [(EQ, 0.0)] * len(node_row)
-    for d in depot_ids:
-        node_row[graph.source[d]] = (len(rows), -1.0)
-        rows.append((EQ, float(instance.depot(d).vehicles_start)))
-    for d in depot_ids:
-        node_row[graph.sink[d]] = (len(rows), 1.0)
-        rows.append((EQ, float(instance.depot(d).vehicles_end)))
+    one row per node (out - in = supply), one per task."""
+    rows: list[tuple[str, float]] = [(EQ, 0.0)] * len(graph.nodes)
+    for d in instance.depots:
+        rows[graph.source[d.id]] = (EQ, float(d.vehicles_start))
+        rows[graph.sink[d.id]] = (EQ, -float(d.vehicles_end))
     task_row = {}
     for t in sorted(t.id for t in instance.all_tasks()):
         task_row[t] = len(rows)
@@ -81,9 +66,7 @@ def build_edge_model(graph: TimeSpaceGraph, instance: Instance) -> EdgeModel:
     problem = MilpProblem(rows)
     fleet = float(instance.fleet_size)
     for e in graph.edges:
-        tail_row, tail_sign = node_row[e.tail]
-        head_row, head_sign = node_row[e.head]
-        entries = [(tail_row, -tail_sign), (head_row, head_sign)]
+        entries = [(e.tail, 1.0), (e.head, -1.0)]
         entries += [(task_row[t], 1.0) for t in e.covered_tasks]
         problem.add_column(e.saving, entries, integer=True,
                            upper=1.0 if e.kind == RIDE else fleet)

@@ -523,18 +523,11 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
     evaluated."""
     t0 = time.perf_counter()
     c = np.array(problem.objective)
-
-    root = solve_lp(problem)
-    if root.status == "infeasible":
-        return IpResult("infeasible", math.nan, None, math.nan, nodes=1)
-    if root.status == "unbounded":
-        return IpResult("unbounded", math.inf, None, math.inf, nodes=1)
-
     best_x = None
     best_obj = -math.inf
     nodes = 0
     # stack entries: (bounds dict, parent state, parent bound)
-    stack: list[tuple[dict, Optional[SimplexState], float]] = [({}, None, root.objective)]
+    stack: list[tuple[dict, Optional[SimplexState], float]] = [({}, None, math.inf)]
     timed_out = False
 
     while stack:
@@ -546,7 +539,10 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
         if parent_bound <= best_obj + 1e-9:
             continue
         nodes += 1
-        sol = solve_lp(problem, state=state, bounds=bnds) if bnds else root
+        sol = solve_lp(problem, state=state, bounds=bnds)
+        if sol.status == "unbounded":
+            # only the root can be: a child only tightens bounds
+            return IpResult("unbounded", math.inf, None, math.inf, nodes)
         if sol.status != "optimal" or sol.objective <= best_obj + 1e-9:
             continue
         j = _most_fractional(sol.x, problem.integer)

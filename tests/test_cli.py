@@ -169,6 +169,7 @@ def test_malformed_instance_is_io_error(tmp_path):
     ("solve late_task.json", 0),
     ("gen --users 3 --depots 0", 2),
     ("gen --users 3 --seed -1", 2),
+    ("gen --users 3 --instance-number 1", 2),
 ])
 def test_bad_input_ends_without_traceback(tmp_path, argv, code):
     write_probes(tmp_path)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from conftest import make_instance
 from mmcrp import colgen, edgeform
+from mmcrp.cli import split_fleet
 from mmcrp.edgeform import EdgeModelSizeError, build_edge_model, solve_edge
 from mmcrp.instgen import GenParams, generate
+from mmcrp.milp import EQ, LE, solve_lp
 from mmcrp.oracle import brute_force
 from mmcrp.ridegraph import Caps, build_graph, enumerate_variants
 
@@ -25,6 +28,32 @@ def test_row_count_formula():
         n_interior = len(g.nodes) - len(specials)
         n_tasks = len(inst.all_tasks())
         assert model.problem.n_rows == n_interior + 2 * len(inst.depots) + n_tasks
+        # row v is node v: out - in = supply
+        n = len(g.nodes)
+        supply = np.zeros(n)
+        for d in inst.depots:
+            supply[g.source[d.id]] = d.vehicles_start
+            supply[g.sink[d.id]] = -d.vehicles_end
+        assert model.problem.rows[:n] == [(EQ, v) for v in supply]
+        assert all(sense == LE for sense, _ in model.problem.rows[n:])
+        incidence = np.zeros((n, len(g.edges)))
+        for e in g.edges:
+            incidence[e.tail, e.id] += 1.0
+            incidence[e.head, e.id] -= 1.0
+        assert (model.problem.dense()[:n] == incidence).all()
+
+
+@pytest.mark.parametrize("users,vehicles,seed", [
+    (8, 2, 0), (8, 2, 1), (12, 2, 2), (12, 3, 3), (16, 2, 4), (16, 3, 5),
+    (20, 3, 6), (20, 4, 7), (25, 3, 8), (25, 4, 9)])
+def test_lp_relaxation_equals_the_path_lp_bound(users, vehicles, seed):
+    inst = generate(GenParams(n_users=users, n_depots=2,
+                              vehicles_per_depot=split_fleet(vehicles, 2),
+                              seed=seed))
+    g = build_graph(inst, enumerate_variants(inst, Caps()))
+    lp = solve_lp(build_edge_model(g, inst).problem)
+    want = colgen.run(inst, g).lp_bound
+    assert abs(lp.objective - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_zero_users_graph_solves_to_zero():

@@ -8,8 +8,8 @@ status, iteration and node counts, and bit-identical objectives, primal
 values, duals and warm-start snapshots. The problems cover LE and EQ rows,
 a redundant EQ row (phase 1 leaves its artificial basic), warm starts after
 appended columns, branch-and-bound bound changes repaired by the dual
-simplex (feasible and infeasible children), unbounded LPs and the binary
-programs of acceptance criterion 10.
+simplex (feasible and infeasible children), unbounded LPs, infeasible
+integer programs and the binary programs of acceptance criterion 10.
 """
 
 import math
@@ -700,6 +700,7 @@ def test_unbounded_lps():
                      [(i, -float(rng.uniform(0.1, 1.0))) for i in range(m_le)])
         got, _ = both_lp(p)
         assert got.status == "unbounded"
+        assert_same_ip(solve_ip(p), ref_solve_ip(p))
 
 
 def test_criterion_10_binary_programs(repairs):
@@ -735,3 +736,11 @@ def test_general_integer_programs():
             p.integer[j] = True
             p.upper[j] = 3.0
         assert_same_ip(solve_ip(p), ref_solve_ip(p))
+    # infeasible: as an LP (x <= 1, x = 2), and only as an IP (2x = 1)
+    for rows, coefs in (([(LE, 1.0), (EQ, 2.0)], [(0, 1.0), (1, 1.0)]),
+                        ([(EQ, 1.0)], [(0, 2.0)])):
+        p = MilpProblem(rows)
+        p.add_column(1.0, coefs, upper=3.0, integer=True)
+        got = solve_ip(p)
+        assert got.status == "infeasible"
+        assert_same_ip(got, ref_solve_ip(p))
