@@ -22,7 +22,6 @@ from . import milp
 from .milp import EQ, LE, MilpProblem, TOL_RC
 from .model import Instance
 from .ridegraph import (
-    RIDE,
     TimeSpaceGraph,
     drop_negative,
     reduce_prune,
@@ -160,12 +159,26 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
           weights: Optional[np.ndarray] = None) -> PricingResult:
     """Label-setting longest path from (start_depot, sigma).
 
-    One relaxation per edge in topological order (the exposed counter equals
-    |E| on every call); a later edge replaces a node's label only if it wins
-    by more than 1e-12. Returns the best route per end depot; with
-    collect='all' additionally every positive-reduced-saving candidate, one
-    per distinct (ride set, end depot), extended to its sink along the
-    waiting chain.
+    It computes what one relaxation per edge in topological order computes,
+    bit for bit: a head's in-edges are relaxed in (tail node, edge id)
+    order, and a later edge replaces the head's label only if it wins by
+    more than 1e-12. The exposed counter equals |E| on every call. Waiting
+    edges must weigh 0, as edge_weights gives them.
+
+    The pass runs window by window (see TimeSpaceGraph). First, every edge
+    entering the window is relaxed at once: each head takes the largest
+    candidate, and the first edge reaching it. That is what the scalar rule
+    picks unless some candidate lies below the largest by at most 1e-12;
+    such a head is resolved by the scalar rule over its candidates, in
+    order. Then each depot's chain inside the window is a cumulative max:
+    its waiting in-edge is a head's last candidate, since its tail is the
+    latest node among them. The waiting edge wins where the label before it
+    is larger, unless by at most 1e-12; where that happens, the chain's
+    labels in this window are re-scanned with the scalar rule.
+
+    Returns the best route per end depot; with collect='all' additionally
+    every positive-reduced-saving candidate, one per distinct (ride set, end
+    depot), extended to its sink along the waiting chain.
 
     Those candidates are the start node (the empty route) and every node
     whose best label arrives over a ride edge. A node reached over a waiting
@@ -175,66 +188,129 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
     and keeping the first node of each (ride set, end depot) therefore keeps
     exactly these nodes, in the same order.
     """
-    w = (weights if weights is not None else edge_weights(graph, duals)).tolist()
-    head = graph.head.tolist()
+    w = weights if weights is not None else edge_weights(graph, duals)
+    tail, head = graph.tail, graph.head
     n = len(graph.nodes)
-    neg_inf = -math.inf
-    f = [neg_inf] * n
-    parent = [-1] * n
+    f = np.full(n, -math.inf)
+    parent = np.full(n, -1, dtype=np.int64)
     start = graph.source[start_depot]
     f[start] = 0.0
+    bounds = graph.window_bounds.tolist()
     relaxed = 0
-    for v, out in enumerate(graph.out_edges):
-        relaxed += len(out)
-        fv = f[v]
-        if fv == neg_inf:
-            continue
-        for eid in out:
-            cand = fv + w[eid]
-            h = head[eid]
-            if cand > f[h] + 1e-12:
-                f[h] = cand
-                parent[h] = eid
+    for k, into in enumerate(graph.window_edges):
+        if len(into):
+            relaxed += len(into)
+            _relax_entering(f, parent, into, tail[into], head[into], w[into])
+        for s, e in zip(bounds[k], bounds[k + 1]):
+            if e - s > 1:
+                relaxed += e - s - 1
+                _relax_chain(f, parent, s, head[s:e])
+    parent[f == -math.inf] = -1  # unreached heads got some parent above
 
+    n_rides = bounds[0][0]  # the first waiting edge: ride ids come first
     edges = graph.edges
     beta = duals.beta.get(start_depot, 0.0)
+    parents = parent.tolist()
 
-    def reduced(node: int) -> float:
-        return f[node] - beta - duals.delta.get(graph.node_depot(node), 0.0)
-
-    def reconstruct(node: int) -> Candidate:
+    def reconstruct(node: int, reduced: float) -> Candidate:
         vids: list[int] = []
         saving = 0.0
         covered: list = []
         v = node
-        while parent[v] >= 0:
-            e = edges[parent[v]]
-            if e.kind == RIDE:
+        while (p := parents[v]) >= 0:
+            e = edges[p]
+            if p < n_rides:  # a ride
                 vids.append(e.variant_id)
                 saving += e.saving
                 covered.extend(e.covered_tasks)
             v = e.tail
         vids.reverse()
         # multiset on purpose: pricing valued a twice-touched task twice
-        return Candidate(reduced(node),
+        return Candidate(reduced,
                          Route(start_depot, graph.node_depot(node),
                                tuple(vids), tuple(sorted(covered)), saving))
 
     best_per_end: dict[int, Candidate] = {}
     for d, sink in sorted(graph.sink.items()):
-        if f[sink] > neg_inf:
-            best_per_end[d] = reconstruct(sink)
+        if f[sink] > -math.inf:
+            best_per_end[d] = reconstruct(
+                sink, float(f[sink]) - beta - duals.delta.get(d, 0.0))
 
     if collect == "all":
-        candidates = [
-            reconstruct(v) for v in range(n)
-            if (v == start or parent[v] >= 0 and edges[parent[v]].kind == RIDE)
-            and reduced(v) > TOL_RC]
+        delta = np.empty(n)  # per node, its depot's end dual
+        for j, (d, source) in enumerate(graph.source.items()):
+            chain = head[bounds[0][j]:bounds[-1][j]]
+            delta[source] = delta[chain] = duals.delta.get(d, 0.0)
+        reduced = f - beta - delta
+        keep = (parent >= 0) & (parent < n_rides)
+        keep[start] = True
+        keep &= reduced > TOL_RC
+        candidates = [reconstruct(v, rc) for v, rc in
+                      zip(np.flatnonzero(keep).tolist(),
+                          reduced[keep].tolist())]
     else:
         candidates = [c for c in best_per_end.values()
                       if c.reduced_saving > TOL_RC]
 
     return PricingResult(best_per_end, candidates, relaxed)
+
+
+def _relax_entering(f: np.ndarray, parent: np.ndarray, into: np.ndarray,
+                    tails: np.ndarray, heads: np.ndarray,
+                    weights: np.ndarray) -> None:
+    """Label the heads of the edges into, sorted by (head, tail, edge id),
+    whose tails are labelled already, as the scalar rule does. A head that
+    no edge reaches keeps -inf and gets some parent, which price clears."""
+    cand = f[tails] + weights
+    first = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    best = np.maximum.reduceat(cand, first)
+    sizes = np.empty_like(first)
+    sizes[:-1] = first[1:] - first[:-1]
+    sizes[-1] = len(into) - first[-1]
+    top = np.repeat(best, sizes)
+    hits = np.flatnonzero(cand == top)
+    labelled = heads[first]
+    f[labelled] = best
+    parent[labelled] = into[hits[np.searchsorted(hits, first)]]
+    if np.count_nonzero(cand + 1e-12 >= top) == len(hits):
+        return
+    # a candidate lies below its head's largest by at most 1e-12: the
+    # scalar rule decides that head, over its candidates in order
+    near = np.flatnonzero((cand != top) & (cand + 1e-12 >= top))
+    groups = np.unique(np.searchsorted(first, near, side="right") - 1)
+    for lo, size in zip(first[groups].tolist(), sizes[groups].tolist()):
+        label, edge = -math.inf, -1
+        for c, eid in zip(cand[lo:lo + size].tolist(),
+                          into[lo:lo + size].tolist()):
+            if c > label + 1e-12:
+                label, edge = c, eid
+        f[heads[lo]] = label
+        parent[heads[lo]] = edge
+
+
+def _relax_chain(f: np.ndarray, parent: np.ndarray, s: int,
+                 nodes: np.ndarray) -> None:
+    """Relax the waiting edges s + 1, s + 2, ... along nodes, one depot's
+    chain inside a window, as the scalar rule does. Edge s + i ends at
+    nodes[i], and each node's label from the window's entering edges is
+    set."""
+    own = f[nodes]
+    run = np.maximum.accumulate(own)
+    before, after = run[:-1], own[1:]
+    wait = before > after
+    if not (wait & (before <= after + 1e-12)).any():
+        f[nodes] = run
+        i = np.flatnonzero(wait) + 1
+        parent[nodes[i]] = s + i
+        return
+    # a waiting edge wins by at most 1e-12: the scalar rule along the chain
+    label = float(own[0])
+    for i, (v, o) in enumerate(zip(nodes[1:].tolist(), after.tolist()), 1):
+        if label > o + 1e-12:
+            f[v] = label
+            parent[v] = s + i
+        else:
+            label = o
 
 
 # --- the column-generation loop ---------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import SIGMA, TAU, make_instance, make_task
@@ -357,3 +358,52 @@ def test_dump_edges_format(tmp_path):
     assert rows[0] == ["tail_depot", "tail_s", "head_depot", "head_s",
                        "variant_id", "saving_eur"]
     assert len(rows) == 1 + len(g.edges)
+
+
+def node_windows(g):
+    """The window of every node, read off g.window_bounds: a source is in
+    window 0, and the heads of a chain's waiting edges window_bounds[k, j]
+    to window_bounds[k + 1, j] - 1 are in window k."""
+    win = np.full(len(g.nodes), -1)
+    win[list(g.source.values())] = 0
+    b = g.window_bounds
+    for k in range(len(b) - 1):
+        for j in range(b.shape[1]):
+            win[g.head[b[k, j]:b[k + 1, j]]] = k
+    return win
+
+
+@pytest.mark.parametrize("n_users,seed", [(5, 0), (8, 1), (20, 2), (40, 3)])
+def test_ride_tails_lie_in_earlier_windows(n_users, seed):
+    inst = generate(GenParams(n_users=n_users, seed=seed))
+    g = build_graph(inst, enumerate_variants(inst))
+    for graph in (g, reduce_statespace(g), reduce_prune(g), drop_negative(g)):
+        assert np.array_equal(graph.tail, [e.tail for e in graph.edges])
+        # each depot's waiting chain is a run of edge ids, in source order
+        b = graph.window_bounds
+        assert [e.id for e in graph.waiting_edges] == \
+            list(range(b[0, 0], b[-1, -1]))
+        assert list(b[0, 1:]) == list(b[-1, :-1])
+        for j, source in enumerate(graph.source.values()):
+            assert graph.tail[b[0, j]] == source
+        win = node_windows(graph)
+        assert (win >= 0).all()
+        assert (np.diff(win) >= 0).all()  # windows are runs of nodes
+        rides = graph.ride_edges
+        assert all(win[e.tail] < win[e.head] for e in rides)
+        # a window starts only at a node some ride from the window before
+        # reaches
+        for v in np.flatnonzero(np.diff(win)) + 1:
+            assert any(e.head == v and win[e.tail] == win[v] - 1
+                       for e in rides)
+        assert len(graph.window_edges) == len(b) - 1
+        for k, into in enumerate(graph.window_edges):
+            entering = {e.id for e in rides if win[e.head] == k}
+            entering |= {lo for lo, hi in zip(b[k], b[k + 1]) if lo < hi}
+            assert sorted(into.tolist()) == sorted(entering)
+            keys = [(graph.head[e], graph.tail[e], e) for e in into]
+            assert keys == sorted(keys)
+            # the other waiting edges of the window link two of its nodes
+            for lo, hi in zip(b[k], b[k + 1]):
+                assert lo == hi or win[graph.tail[lo]] < k or k == 0
+                assert all(win[graph.tail[e]] == k for e in range(lo + 1, hi))
