@@ -238,6 +238,14 @@ def write_instance(instance: Instance, path):
         fh.write("\n")
 
 
+def _int(entry: dict, key: str) -> int:
+    """entry[key], an integer or an integral float such as 2.0, as an int."""
+    value = entry[key]
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValueError(f"invalid literal for integer {key}: {json.dumps(value)}")
+    return int(value)
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Build and validate an instance from its JSON document.
 
@@ -249,7 +257,7 @@ def instance_from_dict(doc: dict) -> Instance:
         horizon, mot_docs, costs_doc, depot_docs, user_docs = (
             doc["horizon"], doc["mots"], doc["costs"], doc["depots"], doc["users"])
         where = "horizon"
-        sigma, tau = int(horizon["sigma_s"]), int(horizon["tau_s"])
+        sigma, tau = _int(horizon, "sigma_s"), _int(horizon, "tau_s")
 
         mots: dict[str, MotParams] = {}
         for i, entry in enumerate(mot_docs):
@@ -266,27 +274,29 @@ def instance_from_dict(doc: dict) -> Instance:
         depots = []
         for i, entry in enumerate(depot_docs):
             where = f"depots[{i}]"
-            depots.append(Depot(int(entry["id"]),
+            depots.append(Depot(_int(entry, "id"),
                                 Location(float(entry["x_km"]), float(entry["y_km"])),
-                                int(entry["vehicles_start"]), int(entry["vehicles_end"])))
+                                _int(entry, "vehicles_start"), _int(entry, "vehicles_end")))
 
         users = []
         next_task = 0
         for i, entry in enumerate(user_docs):
             where = f"users[{i}]"
-            user_id, start, end = (int(entry["id"]), int(entry["start_depot"]),
-                                   int(entry["end_depot"]))
-            allowed = frozenset(entry["allowed_mots"])
+            user_id, start, end = (_int(entry, "id"), _int(entry, "start_depot"),
+                                   _int(entry, "end_depot"))
+            allowed = entry["allowed_mots"]
+            if type(allowed) is not list:
+                raise ValueError(f"allowed_mots must be a list, got {json.dumps(allowed)}")
             tasks = []
             for j, tdoc in enumerate(entry["tasks"]):
                 where = f"users[{i}].tasks[{j}]"
                 tasks.append(Task(next_task,
                                   Location(float(tdoc["x_km"]), float(tdoc["y_km"])),
-                                  int(tdoc["latest_arrival_s"]),
-                                  int(tdoc["earliest_departure_s"])))
+                                  _int(tdoc, "latest_arrival_s"),
+                                  _int(tdoc, "earliest_departure_s")))
                 next_task += 1
             where = f"users[{i}]"
-            users.append(UserTrip(user_id, start, end, tuple(tasks), allowed))
+            users.append(UserTrip(user_id, start, end, tuple(tasks), frozenset(allowed)))
 
         where = "instance"
         instance = Instance(tuple(depots), tuple(users), mots, costs, sigma, tau)

@@ -328,10 +328,9 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
     corresponding detour term. With joint_k=True the counterfactual picks one
     common non-car mode for both legs instead of each leg's own cheapest.
 
-    leg_costs holds what depends on one leg only: the driver leg's and the
-    rider leg's cheapest_other_mot costs and the rider leg's car cost. When
-    None they are computed here, so a caller that precomputes them gets the
-    same float; joint_k uses only the car cost.
+    leg_costs holds the driver and rider legs' cheapest_other_mot costs and
+    the rider leg's car cost, as the enumeration's leg records measure them.
+    When None the same calls compute them here; joint_k uses only the car cost.
     """
     if leg_costs is None:
         leg_costs = (

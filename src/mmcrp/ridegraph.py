@@ -142,18 +142,18 @@ def _share_times(du: Task, dv: Task, ru: Task, rv: Task, tt_r: int,
     return t + to_dest, depart
 
 
-class _RiderLeg(NamedTuple):
-    """A task-to-task leg that some driver might serve, with what depends on
-    the leg alone."""
+class _Leg(NamedTuple):
+    """A leg of a user's depot-extended sequence, with what depends on the
+    leg alone, for when the user drives it and when they ride it."""
 
-    ready_s: int  # earliest drop-off: earliest departure plus car time
-    rider: UserTrip
-    leg: int
+    user: UserTrip
+    idx: int  # position in trip_legs
     u: Task
     v: Task
     tt_s: int  # car time
+    car_cost: float  # leg_cost by car
     fallback: float  # cheapest_other_mot cost
-    car_cost: float
+    ready_s: int  # earliest arrival by car: earliest departure plus car time
 
 
 class _LegOption(NamedTuple):
@@ -165,29 +165,7 @@ class _LegOption(NamedTuple):
     saving: float
     arrive_s: int
     depart_s: int
-    rider: Optional[_RiderLeg] = None
-
-
-def _rider_legs(instance: Instance,
-                legs_of: dict[int, list[tuple[Task, Task]]],
-                fallback_of: dict[int, list[float]]) -> list[_RiderLeg]:
-    """Every task-to-task leg that fits its own window, by ready time."""
-    mots = instance.mots
-    out = []
-    for rider in instance.users:
-        fallback = fallback_of[rider.user_id]
-        for idx, (ru, rv) in enumerate(legs_of[rider.user_id]):
-            if ru.is_depot_endpoint or rv.is_depot_endpoint:
-                continue
-            tt_r = travel_time(ru.loc, rv.loc, CAR, mots)
-            ready = ru.earliest_departure_s + tt_r
-            if ready > rv.latest_arrival_s:
-                continue
-            out.append(_RiderLeg(ready, rider, idx, ru, rv, tt_r, fallback[idx],
-                                 leg_cost(ru.loc, rv.loc, CAR, mots,
-                                          instance.costs)))
-    out.sort(key=lambda r: r.ready_s)
-    return out
+    rider: Optional[_Leg] = None
 
 
 def enumerate_variants(instance: Instance, caps: Caps = None,
@@ -201,6 +179,9 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     cross product of per-leg options with higher-saving options preferred
     (ties broken by rider id, then rider leg). Hitting a cap truncates and is
     recorded in the stats, never an error.
+
+    Each leg is measured once (car time, car cost, cheapest other mode) and
+    serves its own driver and every driver who might take its user along.
 
     A share needs ru.earliest + tt_r <= min(rv.latest, dv.latest) and
     du.earliest <= rv.latest - tt_r for rider leg (ru, rv) with car time tt_r
@@ -217,46 +198,51 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     by_user: dict[int, list[TripVariant]] = {}
     next_id = 0
 
-    legs_of = {u.user_id: trip_legs(instance, u) for u in instance.users}
-    fallback_of = {  # cheapest_other_mot cost of every leg
-        u.user_id: [cheapest_other_mot(u, a.loc, b.loc, a.earliest_departure_s,
-                                       b.latest_arrival_s, mots, costs)[1]
-                    for a, b in legs_of[u.user_id]]
-        for u in instance.users}
-    n_legs = sum(len(legs_of[u.user_id]) for u in instance.users)
-    riders = _rider_legs(instance, legs_of, fallback_of)
+    legs_of: dict[int, list[_Leg]] = {}
+    for user in instance.users:
+        legs_of[user.user_id] = legs = []
+        for idx, (u, v) in enumerate(trip_legs(instance, user)):
+            tt = travel_time(u.loc, v.loc, CAR, mots)
+            legs.append(_Leg(
+                user, idx, u, v, tt, leg_cost(u.loc, v.loc, CAR, mots, costs),
+                cheapest_other_mot(user, u.loc, v.loc, u.earliest_departure_s,
+                                   v.latest_arrival_s, mots, costs)[1],
+                u.earliest_departure_s + tt))
+    n_legs = sum(len(legs) for legs in legs_of.values())
+    # riders are served between two of their tasks only, and on time
+    riders = sorted((r for legs in legs_of.values() for r in legs
+                     if not (r.u.is_depot_endpoint or r.v.is_depot_endpoint)
+                     and r.ready_s <= r.v.latest_arrival_s),
+                    key=lambda r: r.ready_s)
     ready = [r.ready_s for r in riders]
 
     for driver in instance.users:
         legs = legs_of[driver.user_id]
-        car_s = [travel_time(du.loc, dv.loc, CAR, mots) for du, dv in legs]
-        if any(du.earliest_departure_s + tt > dv.latest_arrival_s
-               for (du, dv), tt in zip(legs, car_s)):
+        if any(leg.ready_s > leg.v.latest_arrival_s for leg in legs):
             by_user[driver.user_id] = []
             continue
-        fallback = fallback_of[driver.user_id]
         options: list[list[_LegOption]] = []
-        for leg_idx, ((du, dv), tt) in enumerate(zip(legs, car_s)):
-            base = _LegOption(leg_saving_plain(driver, du, dv, mots, costs),
-                              du.earliest_departure_s + tt,
-                              dv.latest_arrival_s - tt)
+        for leg in legs:
+            du, dv = leg.u, leg.v
+            base = _LegOption(leg.fallback - leg.car_cost, leg.ready_s,
+                              dv.latest_arrival_s - leg.tt_s)
             share_options: list[_LegOption] = []
             stats.feasibility_checks += n_legs - len(legs)
             fits_by = bisect_right(ready, dv.latest_arrival_s)
             for r in riders[:fits_by]:
-                if (r.rider.user_id == driver.user_id
+                if (r.user.user_id == driver.user_id
                         or du.earliest_departure_s + r.tt_s > r.v.latest_arrival_s):
                     continue
                 times = _share_times(du, dv, r.u, r.v, r.tt_s, mots)
                 if times is None:
                     continue
                 sav = leg_saving_share(
-                    driver, du, dv, r.rider, r.u, r.v, mots, costs,
+                    driver, du, dv, r.user, r.u, r.v, mots, costs,
                     joint_k=joint_k,
-                    leg_costs=(fallback[leg_idx], r.fallback, r.car_cost))
+                    leg_costs=(leg.fallback, r.fallback, r.car_cost))
                 share_options.append(_LegOption(sav, *times, r))
             share_options.sort(
-                key=lambda o: (-o.saving, o.rider.rider.user_id, o.rider.leg))
+                key=lambda o: (-o.saving, o.rider.user.user_id, o.rider.idx))
             options.append([base] + share_options)
 
         own_tasks = {t.id for t in driver.tasks}
@@ -298,11 +284,11 @@ def _combinations(options: list[list[_LegOption]],
             if o.rider is None:
                 grown = shares, keys, rider_tasks
             else:
-                key = (o.rider.rider.user_id, o.rider.leg)
+                key = (o.rider.user.user_id, o.rider.idx)
                 if key in keys or (max_shares is not None
                                    and len(shares) >= max_shares):
                     continue
-                # _rider_legs drops every leg with a depot end
+                # no rider leg has a depot end
                 grown = (shares + ((leg, *key),), keys | {key},
                          rider_tasks + (o.rider.u.id, o.rider.v.id))
             if leg == last_leg:
@@ -497,18 +483,21 @@ def build_graph(instance: Instance,
 
     One ride edge per variant between (start_depot, depart) and
     (end_depot, arrive); parallel edges are kept (it is a multigraph), and a
-    variant whose times leave [sigma, tau] or whose saving is not finite is a
-    construction error.
+    variant whose times leave [sigma, tau], that does not arrive after it
+    departs, or whose saving is not finite is a construction error.
     """
     flat = variants.all if isinstance(variants, VariantSet) else list(variants)
     sigma, tau = instance.sigma_s, instance.tau_s
     rides = []
     for v in flat:
-        if not (sigma <= v.depart_s < v.arrive_s <= tau):
+        if not (sigma <= v.depart_s and v.arrive_s <= tau):
             raise GraphConstructionError(
                 f"variant {v.id} times [{v.depart_s}, {v.arrive_s}] leave the "
                 f"horizon [{sigma}, {tau}]"
             )
+        if v.depart_s >= v.arrive_s:
+            raise GraphConstructionError(f"variant {v.id} arrives at {v.arrive_s}, "
+                                         f"not after it departs at {v.depart_s}")
         if not math.isfinite(v.saving_eur):
             raise GraphConstructionError(f"variant {v.id} saving is {v.saving_eur}")
         rides.append(((v.start_depot, v.depart_s), (v.end_depot, v.arrive_s), v))

@@ -182,7 +182,7 @@ def test_bad_input_ends_without_traceback(tmp_path, argv, code):
 
 
 @pytest.mark.parametrize("argv", [
-    "solve task_inf.json",                          # int() of an infinity
+    "solve task_inf.json",                          # an infinite task time
     "solve two_users.json --out number.json/out",   # NotADirectoryError
     "solve car_cost_big.json",                      # a saving of -inf
     "solve car_cost_big.json --edge",
@@ -263,6 +263,44 @@ def test_dump_graph_enumerates_once(tmp_path, monkeypatch):
         (tmp_path / "expected.csv").read_text()
     doc = json.loads((tmp_path / "E_6_4.result.json").read_text())
     assert set(doc["timings"]) == {"pricing_s", "master_s", "ip_s", "total_s"}
+
+
+def test_joint_k_flag_reaches_the_enumeration(tmp_path):
+    run_cli("gen", "--users", "6", "--seed", "1", "--out-dir", str(tmp_path))
+    inst = tmp_path / "E_6_1.json"
+    assert run_cli("solve", str(inst), "--joint-k", "--dump-graph",
+                   "--out", str(tmp_path / "joint")) == 0
+    assert run_cli("solve", str(inst), "--dump-graph",
+                   "--out", str(tmp_path / "own")) == 0
+
+    instance = read_instance(inst)
+    dump_edges(build_graph(instance, enumerate_variants(instance, joint_k=True)),
+               tmp_path / "expected.csv")
+    joint = (tmp_path / "joint.edges.csv").read_text()
+    assert joint == (tmp_path / "expected.csv").read_text()
+    assert joint != (tmp_path / "own.edges.csv").read_text()
+
+
+def test_solves_import_numpy_but_not_scipy(tmp_path):
+    """gen, solve and solve --edge run on numpy alone: scipy is a test
+    extra, and importing scipy.optimize would add to every solve's set-up
+    time and memory. Checked in a fresh interpreter, since this one has
+    scipy loaded."""
+    script = (
+        "import sys\n"
+        "from mmcrp.cli import main\n"
+        "assert main(['gen', '--users', '4', '--seed', '2']) == 0\n"
+        "assert main(['solve', 'E_4_2.json']) == 0\n"
+        "assert main(['solve', 'E_4_2.json', '--edge', '--out', 'edge']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "edge.result.json").exists()
 
 
 def test_time_limit_keeps_the_solved_root(tmp_path):

@@ -107,6 +107,27 @@ def test_task_window_violation_is_reported():
     (("users", 0, "tasks"), [], "users[0]: user 0 has no tasks"),
     (("depots", 0, "vehicles_start"), -1, "depots[0]:"),
     (("mots", 0, "mot"), "car", "mots[1]: duplicate mot 'car'"),
+    # integer fields are read whole, never truncated or parsed from text
+    (("horizon", "sigma_s"), 21600.9,
+     "horizon: invalid literal for integer sigma_s: 21600.9"),
+    (("horizon", "tau_s"), "72000", "horizon: invalid literal for integer tau_s"),
+    (("depots", 1, "id"), True, "depots[1]: invalid literal for integer id: true"),
+    (("depots", 0, "vehicles_start"), 2.7,
+     "depots[0]: invalid literal for integer vehicles_start: 2.7"),
+    (("depots", 0, "vehicles_end"), "2",
+     "depots[0]: invalid literal for integer vehicles_end"),
+    (("users", 1, "id"), 1.5, "users[1]: invalid literal for integer id"),
+    (("users", 0, "start_depot"), "0",
+     "users[0]: invalid literal for integer start_depot"),
+    (("users", 1, "end_depot"), False,
+     "users[1]: invalid literal for integer end_depot"),
+    (("users", 0, "tasks", 0, "latest_arrival_s"), 30000.5,
+     "users[0].tasks[0]: invalid literal for integer latest_arrival_s"),
+    (("users", 1, "tasks", 1, "earliest_departure_s"), math.inf,
+     "users[1].tasks[1]: invalid literal for integer earliest_departure_s"),
+    (("users", 0, "allowed_mots"), {"car": 0, "walk": 0},
+     "users[0]: allowed_mots must be a list"),
+    (("users", 1, "allowed_mots"), "car", "users[1]: allowed_mots must be a list"),
 ])
 def test_malformed_field_is_named(field, value, message):
     doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))
@@ -117,6 +138,18 @@ def test_malformed_field_is_named(field, value, message):
     with pytest.raises(InstanceFormatError) as exc:
         instance_from_dict(doc)
     assert str(exc.value).startswith(message)
+
+
+def test_integral_floats_are_read_as_integers():
+    inst = generate(GenParams(n_users=2, seed=0))
+    doc = instance_to_dict(inst)
+    doc["horizon"]["sigma_s"] = float(inst.sigma_s)
+    doc["depots"][0]["vehicles_start"] = float(inst.depots[0].vehicles_start)
+    task = doc["users"][0]["tasks"][0]
+    task["latest_arrival_s"] = float(task["latest_arrival_s"])
+    got = instance_from_dict(doc)
+    assert got == inst
+    assert type(got.sigma_s) is type(got.depots[0].vehicles_start) is int
 
 
 def test_malformed_json_is_an_error(tmp_path):

@@ -277,6 +277,15 @@ def test_variant_outside_horizon_is_rejected():
         build_graph(inst, [bad])
 
 
+def test_variant_that_takes_no_time_is_rejected_as_such():
+    inst = two_user_instance()
+    v = enumerate_variants(inst).all[0]
+    bad = dataclasses.replace(v, arrive_s=v.depart_s)
+    with pytest.raises(GraphConstructionError,
+                       match=f"arrives at {v.depart_s}, not after it departs"):
+        build_graph(inst, [bad])
+
+
 # --- reductions ---------------------------------------------------------------
 
 def test_statespace_bucket_aligned_graph_unchanged():
