@@ -246,6 +246,13 @@ def _int(entry: dict, key: str) -> int:
     return int(value)
 
 
+def _real(entry: dict, key: str) -> float:
+    """entry[key], a JSON number: an integer or a float, not a boolean."""
+    if type(entry[key]) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {json.dumps(entry[key])}")
+    return entry[key]
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Build and validate an instance from its JSON document.
 
@@ -262,20 +269,21 @@ def instance_from_dict(doc: dict) -> Instance:
         mots: dict[str, MotParams] = {}
         for i, entry in enumerate(mot_docs):
             where = f"mots[{i}]"
-            kwargs = {f: entry[f] for f in _MOT_FIELDS}
+            kwargs = {f: _real(entry, f) for f in _MOT_FIELDS}
             if entry["mot"] in mots:
                 raise ValidationError(f"duplicate mot {entry['mot']!r}")
             mots[entry["mot"]] = MotParams(entry["mot"], **kwargs)
 
         where = "costs"
-        costs = CostParams(costs_doc["wage_eur_per_h"], costs_doc["co2_eur_per_t"],
-                           costs_doc["penalty_eur"])
+        costs = CostParams(_real(costs_doc, "wage_eur_per_h"),
+                           _real(costs_doc, "co2_eur_per_t"),
+                           _real(costs_doc, "penalty_eur"))
 
         depots = []
         for i, entry in enumerate(depot_docs):
             where = f"depots[{i}]"
             depots.append(Depot(_int(entry, "id"),
-                                Location(float(entry["x_km"]), float(entry["y_km"])),
+                                Location(_real(entry, "x_km"), _real(entry, "y_km")),
                                 _int(entry, "vehicles_start"), _int(entry, "vehicles_end")))
 
         users = []
@@ -291,7 +299,7 @@ def instance_from_dict(doc: dict) -> Instance:
             for j, tdoc in enumerate(entry["tasks"]):
                 where = f"users[{i}].tasks[{j}]"
                 tasks.append(Task(next_task,
-                                  Location(float(tdoc["x_km"]), float(tdoc["y_km"])),
+                                  Location(_real(tdoc, "x_km"), _real(tdoc, "y_km")),
                                   _int(tdoc, "latest_arrival_s"),
                                   _int(tdoc, "earliest_departure_s")))
                 next_task += 1

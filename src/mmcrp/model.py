@@ -54,6 +54,8 @@ class MotParams:
             raise ValidationError(f"mot '{self.mot}': extra_time_s must be >= 0")
         if self.per_km_cost_eur < 0:
             raise ValidationError(f"mot '{self.mot}': per_km_cost_eur must be >= 0")
+        if self.emission_t_per_km < 0:
+            raise ValidationError(f"mot '{self.mot}': emission_t_per_km must be >= 0")
 
 
 @dataclass(frozen=True)

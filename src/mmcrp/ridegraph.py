@@ -14,7 +14,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,10 +175,14 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
     the car cannot drive on time, leaving at the leg's earliest departure,
     gets no variant: their tasks fall back to other modes.
 
-    Variants are emitted deterministically: the base variant first, then the
-    cross product of per-leg options with higher-saving options preferred
-    (ties broken by rider id, then rider leg). Hitting a cap truncates and is
-    recorded in the stats, never an error.
+    Each leg's options are the plain leg, then its shares by falling saving
+    (ties broken by rider id, then rider leg). One loop, with no depth limit,
+    walks one option per leg depth first in itertools.product order, so the
+    base variant comes first. It does not extend a prefix that takes a rider
+    leg twice or carries more than max_shares_per_trip riders, and it adds
+    the savings left to right from 0, as trip_saving does. At the variant
+    after max_variants_per_user it stops and records the user as truncated
+    in the stats, never an error.
 
     Each leg is measured once (car time, car cost, cheapest other mode) and
     serves its own driver and every driver who might take its user along.
@@ -247,56 +251,39 @@ def enumerate_variants(instance: Instance, caps: Caps = None,
 
         own_tasks = {t.id for t in driver.tasks}
         variants: list[TripVariant] = []
-        max_v = caps.max_variants_per_user
-        for first, last, saving, shares, rider_tasks in _combinations(
-                options, caps.max_shares_per_trip):
-            if max_v is not None and len(variants) >= max_v:
-                truncated.append(driver.user_id)
-                break
-            variants.append(TripVariant(
-                next_id, driver.user_id, driver.start_depot, driver.end_depot,
-                first.depart_s, last.arrive_s, saving,
-                tuple(sorted(own_tasks.union(rider_tasks))), shares))
-            next_id += 1
+        max_v, max_s = caps.max_variants_per_user, caps.max_shares_per_trip
+        # Prefixes to extend, the next on top: (legs chosen, first leg's
+        # option, last option, saving, shares, rider legs taken, rider task
+        # ids). Options go on in reverse, so they come off in list order.
+        stack = [(0, None, None, 0, (), frozenset(), ())]
+        while stack:
+            leg, first, last, saving, shares, taken, rider_tasks = stack.pop()
+            if leg == len(options):
+                if max_v is not None and len(variants) >= max_v:
+                    truncated.append(driver.user_id)
+                    break
+                variants.append(TripVariant(
+                    next_id, driver.user_id, driver.start_depot, driver.end_depot,
+                    first.depart_s, last.arrive_s, float(saving),
+                    tuple(sorted(own_tasks.union(rider_tasks))), shares))
+                next_id += 1
+                continue
+            for o in reversed(options[leg]):
+                grown = shares, taken, rider_tasks
+                if o.rider is not None:
+                    key = (o.rider.user.user_id, o.rider.idx)
+                    if key in taken or (max_s is not None and len(shares) >= max_s):
+                        continue
+                    # no rider leg has a depot end
+                    grown = (shares + ((leg, *key),), taken | {key},
+                             rider_tasks + (o.rider.u.id, o.rider.v.id))
+                stack.append((leg + 1, first if leg else o, o, saving + o.saving,
+                              *grown))
         by_user[driver.user_id] = variants
 
     stats.n_variants = next_id
     stats.truncated_users = tuple(truncated)
     return VariantSet(by_user, stats)
-
-
-def _combinations(options: list[list[_LegOption]],
-                  max_shares: Optional[int]) -> Iterator[tuple]:
-    """Every choice of one option per leg, in itertools.product order, that
-    puts at most max_shares riders on board (None: no limit) and no rider
-    leg twice. Yields (first leg's option, last leg's option, saving,
-    shares, the riders' task ids). saving adds the options' savings left to
-    right from 0, as trip_saving does, so its bits are trip_saving's. A
-    prefix that breaks a rule is not extended: every choice through it
-    breaks the rule too.
-    """
-    last_leg = len(options) - 1
-
-    def extend(leg, first, saving, shares, keys, rider_tasks):
-        for o in options[leg]:
-            lead = first if leg else o
-            total = saving + o.saving
-            if o.rider is None:
-                grown = shares, keys, rider_tasks
-            else:
-                key = (o.rider.user.user_id, o.rider.idx)
-                if key in keys or (max_shares is not None
-                                   and len(shares) >= max_shares):
-                    continue
-                # no rider leg has a depot end
-                grown = (shares + ((leg, *key),), keys | {key},
-                         rider_tasks + (o.rider.u.id, o.rider.v.id))
-            if leg == last_leg:
-                yield lead, o, float(total), grown[0], grown[2]
-            else:
-                yield from extend(leg + 1, lead, total, *grown)
-
-    return extend(0, None, 0, (), frozenset(), ())
 
 
 def variant_leg_savings(instance: Instance, variant: TripVariant) -> list[float]:

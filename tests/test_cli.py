@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import mmcrp
+from conftest import make_instance, make_task
 from mmcrp import cli, colgen, edgeform, milp
 from mmcrp.cli import main, split_fleet
 from mmcrp.instgen import SIGMA_S, GenParams, generate, instance_to_dict, \
-    read_instance
-from mmcrp.model import trip_legs
+    read_instance, write_instance
+from mmcrp.model import CAR, default_mots, trip_legs
 from mmcrp.ridegraph import Caps, build_graph, dump_edges, enumerate_variants
 
 SRC = Path(mmcrp.__file__).resolve().parents[1]
@@ -195,6 +196,23 @@ def test_more_bad_input_ends_in_one_line(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(*argv.split()) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_day_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    mots = default_mots()
+    mots[CAR] = replace(mots[CAR], extra_time_s=0)
+    # tasks 10 s apart at one point, 2 s by car from the depot
+    tasks = [make_task(k, 5.01, 5.0, SIGMA_S + 600 + 10 * k, duration=0)
+             for k in range(n)]
+    path = tmp_path / "long_day.json"
+    write_instance(make_instance([(5.0, 5.0)], [(0, 0, (CAR, "walk"), tasks)],
+                                 vehicles=(1,), mots=mots), path)
+    assert run_cli("solve", str(path)) == 0
+    assert (tmp_path / "long_day.result.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
+    first = enumerate_variants(read_instance(path)).by_user[0][0]
+    assert first.shares == () and first.covered == tuple(range(n))
 
 
 def test_task_the_car_cannot_reach_falls_back(tmp_path):

@@ -128,6 +128,14 @@ def test_task_window_violation_is_reported():
     (("users", 0, "allowed_mots"), {"car": 0, "walk": 0},
      "users[0]: allowed_mots must be a list"),
     (("users", 1, "allowed_mots"), "car", "users[1]: allowed_mots must be a list"),
+    # real-number fields take a JSON number, never a boolean or text
+    (("users", 0, "tasks", 0, "x_km"), "3.5",
+     'users[0].tasks[0]: x_km must be a number, got "3.5"'),
+    (("depots", 0, "y_km"), True, "depots[0]: y_km must be a number, got true"),
+    (("mots", 1, "speed_kmh"), True, "mots[1]: speed_kmh must be a number, got true"),
+    (("costs", "penalty_eur"), True, "costs: penalty_eur must be a number, got true"),
+    (("mots", 1, "emission_t_per_km"), -5.0,
+     "mots[1]: mot 'car': emission_t_per_km must be >= 0"),
 ])
 def test_malformed_field_is_named(field, value, message):
     doc = instance_to_dict(generate(GenParams(n_users=2, seed=0)))

@@ -325,6 +325,13 @@ def test_mot_params_invariants():
         CostParams(wage_eur_per_h=math.nan)
 
 
+def test_negative_emission_factor_is_rejected():
+    with pytest.raises(ValidationError,
+                       match="mot 'car': emission_t_per_km must be >= 0"):
+        MotParams("car", 30.0, 600, 1.3, 0.188, -5.0)
+    assert MotParams("car", 30.0, 600, 1.3, 0.188, 0.0).emission_t_per_km == 0.0
+
+
 def test_task_validation():
     with pytest.raises(ValidationError, match="earliest_departure_s"):
         Task(0, O, SIGMA + 100, SIGMA + 50)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA, TAU, make_instance, make_task
+from test_enumeration_reference import assert_same, reference_enumerate_variants
 from mmcrp.instgen import GenParams, generate
-from mmcrp.model import ALL_MOTS, CAR, travel_time, trip_legs
+from mmcrp.model import ALL_MOTS, CAR, default_mots, travel_time, trip_legs
 from mmcrp.ridegraph import (
     Caps,
     GraphConstructionError,
@@ -189,6 +190,53 @@ def test_variant_cap_truncates_deterministically():
     assert len(full.all) >= len(a.all)
     if len(full.all) > len(a.all):
         assert a.stats.truncated_users
+
+
+def long_day_instance():
+    """Users of at least 40 tasks each, with no car overhead. Users 0-2 keep
+    one schedule on four points, user 2 a little off them, so each of
+    their task-to-task legs can take the other two along. User 3 spends the
+    day far away and then comes back for leg 40, a short leg with a window
+    wide enough for several of the others' last legs."""
+    mots = default_mots()
+    mots[CAR] = dataclasses.replace(mots[CAR], extra_time_s=0)
+    users, next_task = [], 0
+    for uid in range(3):
+        tasks = []
+        for k in range(42):
+            x = 1.0 + 0.5 * (k % 4) + (0.1 if uid == 2 else 0.0)
+            tasks.append(make_task(next_task, x, 1.0, SIGMA + 900 + 1000 * k,
+                                   duration=300))
+            next_task += 1
+        users.append((0, 0, ALL_MOTS, tasks))
+    tasks = [make_task(next_task + k, 9.0 + 0.5 * (k % 2), 9.0,
+                       SIGMA + 900 + 900 * k, duration=300) for k in range(39)]
+    tasks += [make_task(next_task + 39, 1.0, 1.0, SIGMA + 38000, duration=0),
+              make_task(next_task + 40, 1.5, 1.0, SIGMA + 49000, duration=0)]
+    users.append((1, 0, ALL_MOTS, tasks))
+    return make_instance([(0.0, 0.0), (10.0, 10.0)], users, mots=mots)
+
+
+def test_long_days_match_the_full_scan():
+    inst = long_day_instance()
+    assert min(len(u.tasks) for u in inst.users) >= 40
+    legs_of = {u.user_id: trip_legs(inst, u) for u in inst.users}
+
+    def riders(driver, d_leg):
+        return [(r.user_id, r_leg) for r in inst.users
+                for r_leg in range(len(legs_of[r.user_id]))
+                if feasible_share(inst, inst.user(driver), d_leg, r, r_leg)]
+
+    # most legs of users 0-2 admit two or more riders, and user 3's leg 40
+    # fits several of their last legs, which the walk varies first
+    for driver in range(3):
+        assert sum(len(riders(driver, leg)) >= 2 for leg in range(43)) >= 40
+        assert sum((3, 40) in riders(driver, leg) for leg in range(38, 43)) >= 2
+    assert len(riders(3, 40)) >= 2
+    for caps in (Caps(), Caps(max_variants_per_user=20)):
+        for joint_k in (False, True):
+            assert_same(enumerate_variants(inst, caps, joint_k=joint_k),
+                        reference_enumerate_variants(inst, caps, joint_k=joint_k))
 
 
 def test_negative_cap_is_rejected():
