@@ -315,10 +315,7 @@ def main(argv=None) -> int:
     except (InstanceFormatError, GraphConstructionError) as exc:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
         return 1
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except edgeform.EdgeModelSizeError as exc:
+    except (GenerationError, edgeform.EdgeModelSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except milp.MilpError as exc:

@@ -70,24 +70,21 @@ class RestrictedMaster:
     """
 
     def __init__(self, instance: Instance):
-        depot_ids = sorted(d.id for d in instance.depots)
-        self.task_row: dict[int, int] = {}
-        rows: list[tuple[str, float]] = []
-        for t in sorted(t.id for t in instance.all_tasks()):
-            self.task_row[t] = len(rows)
-            rows.append((LE, 1.0))
-        self.start_row: dict[int, int] = {}
-        self.end_row: dict[int, int] = {}
-        for d in depot_ids:
-            self.start_row[d] = len(rows)
-            rows.append((EQ, float(instance.depot(d).vehicles_start)))
-        for d in depot_ids:
-            self.end_row[d] = len(rows)
-            rows.append((EQ, float(instance.depot(d).vehicles_end)))
-        self.problem = MilpProblem(rows)
+        depots = sorted(instance.depots, key=lambda d: d.id)
+        task_ids = sorted(t.id for t in instance.all_tasks())
+        n_tasks, n_depots = len(task_ids), len(depots)
+        self.task_row = {t: i for i, t in enumerate(task_ids)}
+        self.start_row = {d.id: n_tasks + i for i, d in enumerate(depots)}
+        self.end_row = {d.id: n_tasks + n_depots + i
+                        for i, d in enumerate(depots)}
+        self.problem = MilpProblem(
+            [(LE, 1.0)] * n_tasks
+            + [(EQ, float(d.vehicles_start)) for d in depots]
+            + [(EQ, float(d.vehicles_end)) for d in depots])
         self.routes: list[Route] = []
         self._identities: set = set()
         self._state = None
+        depot_ids = list(self.start_row)
         for d in depot_ids:
             self.add_route(Route(d, d, (), (), 0.0))
         for d in depot_ids:
@@ -176,17 +173,18 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
     is larger, unless by at most 1e-12; where that happens, the chain's
     labels in this window are re-scanned with the scalar rule.
 
+    A node's parent is the last ride on its label's path, or -1 if the
+    path has none: a node won over a waiting edge repeats the label, ride
+    set and depot of that edge's tail, and takes the tail's parent.
+
     Returns the best route per end depot; with collect='all' additionally
     every positive-reduced-saving candidate, one per distinct (ride set, end
     depot), extended to its sink along the waiting chain.
 
     Those candidates are the start node (the empty route) and every node
-    whose best label arrives over a ride edge. A node reached over a waiting
-    edge repeats the label, ride set and depot of its predecessor, so the
-    last ride edge on a node's parent chain fixes its ride set, and that
-    edge's head is the earliest node with it. Visiting nodes in time order
-    and keeping the first node of each (ride set, end depot) therefore keeps
-    exactly these nodes, in the same order.
+    that is the head of its own parent. That head is the earliest node with
+    its ride set, so visiting nodes in time order and keeping the first node
+    of each (ride set, end depot) keeps exactly these nodes, in that order.
     """
     w = weights if weights is not None else edge_weights(graph, duals)
     tail, head = graph.tail, graph.head
@@ -196,18 +194,18 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
     start = graph.source[start_depot]
     f[start] = 0.0
     bounds = graph.window_bounds.tolist()
+    n_rides = bounds[0][0]  # the first waiting edge: ride ids come first
     relaxed = 0
     for k, into in enumerate(graph.window_edges):
         if len(into):
             relaxed += len(into)
-            _relax_entering(f, parent, into, tail[into], head[into], w[into])
+            _relax_entering(f, parent, into, tail[into], head[into], w[into],
+                            n_rides)
         for s, e in zip(bounds[k], bounds[k + 1]):
             if e - s > 1:
                 relaxed += e - s - 1
-                _relax_chain(f, parent, s, head[s:e])
-    parent[f == -math.inf] = -1  # unreached heads got some parent above
+                _relax_chain(f, parent, head[s:e])
 
-    n_rides = bounds[0][0]  # the first waiting edge: ride ids come first
     edges = graph.edges
     beta = duals.beta.get(start_depot, 0.0)
     parents = parent.tolist()
@@ -216,14 +214,13 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
         vids: list[int] = []
         saving = 0.0
         covered: list = []
-        v = node
-        while (p := parents[v]) >= 0:
+        p = parents[node]
+        while p >= 0:
             e = edges[p]
-            if p < n_rides:  # a ride
-                vids.append(e.variant_id)
-                saving += e.saving
-                covered.extend(e.covered_tasks)
-            v = e.tail
+            vids.append(e.variant_id)
+            saving += e.saving
+            covered.extend(e.covered_tasks)
+            p = parents[e.tail]
         vids.reverse()
         # multiset on purpose: pricing valued a twice-touched task twice
         return Candidate(reduced,
@@ -242,7 +239,7 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
             chain = head[bounds[0][j]:bounds[-1][j]]
             delta[source] = delta[chain] = duals.delta.get(d, 0.0)
         reduced = f - beta - delta
-        keep = (parent >= 0) & (parent < n_rides)
+        keep = (parent >= 0) & (head[parent] == np.arange(n))
         keep[start] = True
         keep &= reduced > TOL_RC
         candidates = [reconstruct(v, rc) for v, rc in
@@ -257,11 +254,13 @@ def price(graph: TimeSpaceGraph, duals: DualPrices, start_depot: int,
 
 def _relax_entering(f: np.ndarray, parent: np.ndarray, into: np.ndarray,
                     tails: np.ndarray, heads: np.ndarray,
-                    weights: np.ndarray) -> None:
+                    weights: np.ndarray, n_rides: int) -> None:
     """Label the heads of the edges into, sorted by (head, tail, edge id),
-    whose tails are labelled already, as the scalar rule does. A head that
-    no edge reaches keeps -inf and gets some parent, which price clears."""
+    whose tails are labelled already, as the scalar rule does. A head's
+    parent is its winning edge if that is a ride (id below n_rides), else
+    its tail's parent. A head that no edge reaches keeps -inf."""
     cand = f[tails] + weights
+    via = np.where(into < n_rides, into, parent[tails])
     first = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
     best = np.maximum.reduceat(cand, first)
     sizes = np.empty_like(first)
@@ -271,7 +270,7 @@ def _relax_entering(f: np.ndarray, parent: np.ndarray, into: np.ndarray,
     hits = np.flatnonzero(cand == top)
     labelled = heads[first]
     f[labelled] = best
-    parent[labelled] = into[hits[np.searchsorted(hits, first)]]
+    parent[labelled] = via[hits[np.searchsorted(hits, first)]]
     if np.count_nonzero(cand + 1e-12 >= top) == len(hits):
         return
     # a candidate lies below its head's largest by at most 1e-12: the
@@ -279,38 +278,38 @@ def _relax_entering(f: np.ndarray, parent: np.ndarray, into: np.ndarray,
     near = np.flatnonzero((cand != top) & (cand + 1e-12 >= top))
     groups = np.unique(np.searchsorted(first, near, side="right") - 1)
     for lo, size in zip(first[groups].tolist(), sizes[groups].tolist()):
-        label, edge = -math.inf, -1
-        for c, eid in zip(cand[lo:lo + size].tolist(),
-                          into[lo:lo + size].tolist()):
+        label, ride = -math.inf, -1
+        for c, r in zip(cand[lo:lo + size].tolist(),
+                        via[lo:lo + size].tolist()):
             if c > label + 1e-12:
-                label, edge = c, eid
+                label, ride = c, r
         f[heads[lo]] = label
-        parent[heads[lo]] = edge
+        parent[heads[lo]] = ride
 
 
-def _relax_chain(f: np.ndarray, parent: np.ndarray, s: int,
-                 nodes: np.ndarray) -> None:
-    """Relax the waiting edges s + 1, s + 2, ... along nodes, one depot's
-    chain inside a window, as the scalar rule does. Edge s + i ends at
-    nodes[i], and each node's label from the window's entering edges is
-    set."""
+def _relax_chain(f: np.ndarray, parent: np.ndarray, nodes: np.ndarray) -> None:
+    """Relax the waiting edges along nodes, one depot's chain inside a
+    window, as the scalar rule does; each node's label from the window's
+    entering edges is set. A node the waiting edge wins takes the label and
+    parent of the chain node the label came from."""
     own = f[nodes]
     run = np.maximum.accumulate(own)
     before, after = run[:-1], own[1:]
     wait = before > after
     if not (wait & (before <= after + 1e-12)).any():
         f[nodes] = run
-        i = np.flatnonzero(wait) + 1
-        parent[nodes[i]] = s + i
+        i = np.arange(len(nodes))
+        i[1:][wait] = 0
+        parent[nodes] = parent[nodes[np.maximum.accumulate(i)]]
         return
     # a waiting edge wins by at most 1e-12: the scalar rule along the chain
-    label = float(own[0])
-    for i, (v, o) in enumerate(zip(nodes[1:].tolist(), after.tolist()), 1):
+    label, ride = float(own[0]), int(parent[nodes[0]])
+    for v, o in zip(nodes[1:].tolist(), after.tolist()):
         if label > o + 1e-12:
             f[v] = label
-            parent[v] = s + i
+            parent[v] = ride
         else:
-            label = o
+            label, ride = o, int(parent[v])
 
 
 # --- the column-generation loop ---------------------------------------------

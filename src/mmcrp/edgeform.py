@@ -45,14 +45,13 @@ class EdgeResult:
 def build_edge_model(graph: TimeSpaceGraph, instance: Instance) -> EdgeModel:
     """One binary column per ride edge, one integer column per waiting edge;
     one row per node (out - in = supply), one per task."""
-    rows: list[tuple[str, float]] = [(EQ, 0.0)] * len(graph.nodes)
-    for d in instance.depots:
-        rows[graph.source[d.id]] = (EQ, float(d.vehicles_start))
-        rows[graph.sink[d.id]] = (EQ, -float(d.vehicles_end))
-    task_row = {}
-    for t in sorted(t.id for t in instance.all_tasks()):
-        task_row[t] = len(rows)
-        rows.append((LE, 1.0))
+    depots = instance.depots
+    supply = ({graph.source[d.id]: float(d.vehicles_start) for d in depots}
+              | {graph.sink[d.id]: -float(d.vehicles_end) for d in depots})
+    task_ids = sorted(t.id for t in instance.all_tasks())
+    task_row = {t: len(graph.nodes) + i for i, t in enumerate(task_ids)}
+    rows = ([(EQ, supply.get(v, 0.0)) for v in range(len(graph.nodes))]
+            + [(LE, 1.0)] * len(task_ids))
 
     n_rows = len(rows)
     n_cols = len(graph.edges)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from conftest import SIGMA, make_instance, make_task
-from mmcrp import colgen, milp
+from mmcrp import colgen, milp, oracle
 from mmcrp.colgen import (
     DualPrices,
     RestrictedMaster,
@@ -15,6 +16,7 @@ from mmcrp.colgen import (
     solve_restricted_ip,
     solve_single_assignment,
 )
+from mmcrp.edgeform import solve_edge
 from mmcrp.instgen import GenParams, generate
 from mmcrp.model import ALL_MOTS, ValidationError
 from mmcrp.ridegraph import Caps, RIDE, build_graph, enumerate_variants
@@ -80,6 +82,49 @@ def test_add_route_skips_duplicate_columns():
     assert master.problem.n_cols == n_cols and master.routes == routes
     assert master.add_route(replace(route, saving_eur=v.saving_eur + 1e-8))
     assert master.problem.n_cols == n_cols + 1
+
+
+def _depots_7_and_3(inst):
+    """inst with depot 0 renamed 3 and depot 1 renamed 7, listed as 7, 3."""
+    new_id = {0: 3, 1: 7}
+    return dataclasses.replace(
+        inst,
+        depots=tuple(dataclasses.replace(d, id=new_id[d.id])
+                     for d in reversed(inst.depots)),
+        users=tuple(dataclasses.replace(u, start_depot=new_id[u.start_depot],
+                                        end_depot=new_id[u.end_depot])
+                    for u in inst.users))
+
+
+def test_depots_listed_out_of_id_order():
+    # depot 7 has one vehicle and depot 3 two; the sorted labelling 0/1
+    # is the generated instance itself
+    for seed in range(6):
+        base = generate(GenParams(n_users=3, vehicles_per_depot=[2, 1],
+                                  seed=seed, tasks_max=2))
+        values = []
+        for inst in (base, _depots_7_and_3(base)):
+            g = build_graph(inst, enumerate_variants(inst, Caps(1, 4)))
+            r = run(inst, g)
+            values.append((r.lp_bound, r.ip_value, solve_edge(g, inst).objective,
+                           oracle.brute_force(inst, g)))
+        assert all(v == pytest.approx(values[0][0], rel=1e-9, abs=1e-9)
+                   for v in values[0] + values[1])
+    for seed in range(3):
+        base = generate(GenParams(n_users=30, vehicles_per_depot=[2, 1],
+                                  seed=seed))
+        want, got = (run(inst, build_graph(inst, enumerate_variants(inst)),
+                         scheme="best")
+                     for inst in (base, _depots_7_and_3(base)))
+        assert got.lp_bound == pytest.approx(want.lp_bound, rel=1e-9)
+        assert got.ip_value == pytest.approx(want.ip_value, rel=1e-9)
+    inst = _depots_7_and_3(base)
+    master = RestrictedMaster(inst)
+    assert list(master.start_row) == list(master.end_row) == [3, 7]
+    for d in (3, 7):
+        fleet = (milp.EQ, float(inst.depot(d).vehicles_start))
+        assert master.problem.rows[master.start_row[d]] == fleet
+        assert master.problem.rows[master.end_row[d]] == fleet
 
 
 def test_mismatched_inventories_detected():
@@ -182,6 +227,25 @@ def test_price_matches_all_paths_enumeration():
             assert set(res.best_per_end) == set(want)
             for d, cand in res.best_per_end.items():
                 assert cand.reduced_saving == pytest.approx(want[d], abs=1e-9)
+
+
+class _Unreadable:
+    def __getattribute__(self, name):
+        raise AssertionError(f"price read {name} of a waiting edge")
+
+
+def test_price_reads_only_ride_records():
+    rng = random.Random(5)
+    for seed in range(3):
+        inst, g = small_graph(seed=seed, n_users=8, vehicles=2)
+        duals = random_duals(inst, rng)
+        weights = colgen.edge_weights(g, duals)
+        guarded = dataclasses.replace(g, edges=[
+            e if e.kind == RIDE else _Unreadable() for e in g.edges])
+        for d0 in sorted(g.source):
+            for collect in ("all", "best"):
+                assert price(guarded, duals, d0, collect, weights) == \
+                    price(g, duals, d0, collect, weights)
 
 
 def test_edge_relaxation_counter_equals_edge_count():
