@@ -103,19 +103,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _write_json(path: Path, doc: dict):
+def _read(args) -> tuple[Instance, Path]:
+    """The instance and the output path prefix: --out, or else the instance
+    path without its suffix."""
+    instance = read_instance(args.instance)
+    return instance, Path(args.out or Path(args.instance).with_suffix(""))
+
+
+def _write_json(path: str, doc: dict):
+    """Write a result document, non-finite top-level numbers as null, and
+    echo it on stdout."""
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in doc.items()}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _none_if_nan(x):
-    return None if x is None or (isinstance(x, float) and math.isnan(x)) else x
+    print(json.dumps(doc))
 
 
 def cmd_solve(args) -> int:
-    instance = read_instance(args.instance)
-    prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
+    instance, prefix = _read(args)
     t_graph = time.perf_counter()
     variants = enumerate_variants(instance, _caps(args), joint_k=args.joint_k)
     graph = build_graph(instance, variants)
@@ -127,30 +134,36 @@ def cmd_solve(args) -> int:
     if args.edge:
         res = edgeform.solve_edge(graph, instance,
                                   time_limit_s=limits["time_limit_s"])
-        doc = {
+        _write_json(f"{prefix}.result.json", {
             "instance": str(args.instance),
             "solver": "edge",
-            "objective": _none_if_nan(res.objective),
-            "bound": _none_if_nan(res.bound),
+            "objective": res.objective,
+            "bound": res.bound,
             "status": res.status,
-            "gap_pct": _none_if_nan(100.0 * res.gap if math.isfinite(res.gap) else math.nan),
+            "gap_pct": 100.0 * res.gap,
             "rides_per_car": res.plan.rides_per_car if res.plan else None,
             "shares_per_ride": res.plan.shares_per_ride if res.plan else None,
-        }
-        _write_json(Path(f"{prefix}.result.json"), doc)
-        print(json.dumps(doc))
+        })
         return 0
 
     result = colgen.run(instance, scheme=args.scheme, heuristic=args.heuristic,
                         graph=graph, **limits)
-    doc = {
+    with open(f"{prefix}.convergence.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "lp_objective", "columns_added",
+                    "pricing_ms", "master_ms", "phase"])
+        for row in result.log:
+            w.writerow([row.iteration, f"{row.lp_objective:.6f}",
+                        row.columns_added, row.pricing_ms, row.master_ms,
+                        row.phase])
+    _write_json(f"{prefix}.result.json", {
         "instance": str(args.instance),
         "solver": "colgen",
         "scheme": args.scheme,
         "heuristic": args.heuristic,
-        "lp_bound": _none_if_nan(result.lp_bound),
-        "ip_value": _none_if_nan(result.ip_value),
-        "gap_pct": _none_if_nan(result.gap_pct),
+        "lp_bound": result.lp_bound,
+        "ip_value": result.ip_value,
+        "gap_pct": result.gap_pct,
         "iterations": result.iterations,
         "columns": result.columns_generated,
         "converged": result.converged,
@@ -163,23 +176,12 @@ def cmd_solve(args) -> int:
         },
         "rides_per_car": result.plan.rides_per_car if result.plan else None,
         "shares_per_ride": result.plan.shares_per_ride if result.plan else None,
-    }
-    _write_json(Path(f"{prefix}.result.json"), doc)
-    with open(f"{prefix}.convergence.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "lp_objective", "columns_added",
-                    "pricing_ms", "master_ms", "phase"])
-        for row in result.log:
-            w.writerow([row.iteration, f"{row.lp_objective:.6f}",
-                        row.columns_added, row.pricing_ms, row.master_ms,
-                        row.phase])
-    print(json.dumps(doc))
+    })
     return 0
 
 
 def cmd_sweep(args) -> int:
-    instance = read_instance(args.instance)
-    prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
+    instance, prefix = _read(args)
     caps = _caps(args)
     variants = enumerate_variants(instance, caps, joint_k=args.joint_k)
     # the graph reads depot ids and the horizon only, which _with_fleet keeps
@@ -253,15 +255,11 @@ def compare_baselines(instance: Instance, caps: Caps, scheme: str = "multiple",
 
 
 def cmd_compare(args) -> int:
-    instance = read_instance(args.instance)
-    prefix = Path(args.out) if args.out else Path(args.instance).with_suffix("")
+    instance, prefix = _read(args)
     doc = compare_baselines(instance, _caps(args), scheme=args.scheme,
                             heuristic=args.heuristic, joint_k=args.joint_k,
                             **_limits(args))
-    doc = {k: _none_if_nan(v) for k, v in doc.items()}
-    doc["instance"] = str(args.instance)
-    _write_json(Path(f"{prefix}.compare.json"), doc)
-    print(json.dumps(doc))
+    _write_json(f"{prefix}.compare.json", doc | {"instance": str(args.instance)})
     return 0
 
 

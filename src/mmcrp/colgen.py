@@ -411,8 +411,8 @@ def solve_restricted_ip(instance: Instance, graph: TimeSpaceGraph,
     res = milp.solve_ip(master.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return math.nan, None, res.status
-    routes = [route for route, x in zip(master.routes, res.x)
-              for _ in range(int(round(x)))]
+    counts = res.x.astype(int).tolist()
+    routes = [route for route, k in zip(master.routes, counts) for _ in range(k)]
     if any(r.start_depot != r.end_depot and not r.variant_ids
            for r in routes):
         return math.nan, None, \

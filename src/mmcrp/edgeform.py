@@ -109,7 +109,7 @@ def solve_edge(graph: TimeSpaceGraph, instance: Instance,
     res: IpResult = solve_ip(model.problem, time_limit_s=time_limit_s)
     if res.x is None:
         return EdgeResult(res.status, math.nan, res.bound, None, math.inf)
-    flow = [int(round(v)) for v in res.x]
+    flow = res.x.astype(int).tolist()
     routes = _peel_routes(graph, instance, flow)
     plan = build_plan(instance, graph.variants, routes)
     return EdgeResult(res.status, res.objective, res.bound, plan, res.gap)

@@ -119,6 +119,8 @@ class LpSolution:
 
 @dataclass
 class IpResult:
+    """The integer columns of `x` hold integral values."""
+
     status: str                       # optimal | infeasible | unbounded | time_limit
     objective: float
     x: Optional[np.ndarray]
@@ -504,37 +506,40 @@ def solve_lp(problem: MilpProblem, state: Optional[SimplexState] = None,
     return LpSolution("optimal", obj, x, y, sx.iterations, sx.snapshot())
 
 
-def _most_fractional(x: np.ndarray, integer: Sequence[bool]) -> int:
+def _most_fractional(x: np.ndarray, mask: np.ndarray) -> int:
+    """The masked column farthest from an integer by more than TOL_INT, or
+    -1; a later column beats the pick only by more than 1e-12."""
+    frac = np.where(mask, np.abs(x - np.round(x)), 0.0)
+    cand = np.flatnonzero(frac > TOL_INT)
     best_j, best_f = -1, TOL_INT
-    for j, is_int in enumerate(integer):
-        if not is_int:
-            continue
-        f = abs(x[j] - round(x[j]))
+    for j, f in zip(cand.tolist(), frac[cand].tolist()):
         if f > best_f + 1e-12:
             best_j, best_f = j, f
     return best_j
 
 
 def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpResult:
-    """Depth-first branch and bound on the most-fractional variable (ties by
-    lowest index). Returns the incumbent and the best remaining bound; when
-    the tree is exhausted the bound equals the incumbent (gap 0). The time
+    """Depth-first branch and bound on `_most_fractional`, 'up' child first;
+    an integral LP solution, rounded on the integer columns, is a candidate
+    incumbent. Exhausted, the bound equals the incumbent (gap 0). The time
     limit is checked before each child node, so the root is always
-    evaluated."""
+    evaluated; then the bound also covers the open nodes."""
     t0 = time.perf_counter()
     c = np.array(problem.objective)
+    mask = np.array(problem.integer, dtype=bool)
     best_x = None
     best_obj = -math.inf
     nodes = 0
     # stack entries: (bounds dict, parent state, parent bound)
     stack: list[tuple[dict, Optional[SimplexState], float]] = [({}, None, math.inf)]
-    timed_out = False
 
     while stack:
         if nodes and time_limit_s is not None \
                 and time.perf_counter() - t0 > time_limit_s:
-            timed_out = True
-            break
+            bound = max(best_obj, max(pb for _, _, pb in stack))
+            gap = ((bound - best_obj) / max(abs(best_obj), 1e-9)
+                   if best_x is not None else math.inf)
+            return IpResult("time_limit", best_obj, best_x, bound, nodes, gap)
         bnds, state, parent_bound = stack.pop()
         if parent_bound <= best_obj + 1e-9:
             continue
@@ -545,12 +550,10 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
             return IpResult("unbounded", math.inf, None, math.inf, nodes)
         if sol.status != "optimal" or sol.objective <= best_obj + 1e-9:
             continue
-        j = _most_fractional(sol.x, problem.integer)
+        j = _most_fractional(sol.x, mask)
         if j < 0:
-            x_int = sol.x.copy()
-            for k, is_int in enumerate(problem.integer):
-                if is_int:
-                    x_int[k] = round(x_int[k])
+            # + 0.0: np.round turns values just below zero into -0.0
+            x_int = np.where(mask, np.round(sol.x) + 0.0, sol.x)
             obj = float(c @ x_int)
             if obj > best_obj:
                 best_obj, best_x = obj, x_int
@@ -563,12 +566,6 @@ def solve_ip(problem: MilpProblem, time_limit_s: Optional[float] = None) -> IpRe
         stack.append((down, sol.state, sol.objective))
         stack.append((up, sol.state, sol.objective))   # explore 'up' first
 
-    if best_x is None and not timed_out:
+    if best_x is None:
         return IpResult("infeasible", math.nan, None, math.nan, nodes=nodes)
-    open_bound = max((pb for _, _, pb in stack), default=-math.inf)
-    bound = max(best_obj, open_bound) if timed_out else best_obj
-    gap = 0.0 if not timed_out else (
-        (bound - best_obj) / max(abs(best_obj), 1e-9) if best_x is not None else math.inf
-    )
-    return IpResult("time_limit" if timed_out else "optimal", best_obj, best_x,
-                    bound, nodes, gap)
+    return IpResult("optimal", best_obj, best_x, best_obj, nodes, 0.0)

@@ -328,7 +328,8 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
 
     Coincident pickup (d_i at r_i) or drop-off (r_j at d_j) locations skip the
     corresponding detour term. With joint_k=True the counterfactual picks one
-    common non-car mode for both legs instead of each leg's own cheapest.
+    common non-car mode for both legs instead of each leg's own cheapest; a
+    mode table without non-car modes has none, so each leg keeps its own.
 
     leg_costs holds the driver and rider legs' cheapest_other_mot costs and
     the rider leg's car cost, as the enumeration's leg records measure them.
@@ -342,7 +343,7 @@ def leg_saving_share(driver: UserTrip, d_i: Task, d_j: Task,
                                r_j.latest_arrival_s, mots, costs)[1],
             leg_cost(r_i.loc, r_j.loc, CAR, mots, costs),
         )
-    if joint_k:
+    if joint_k and any(k in mots for k in OTHER_MOTS):
         other = min(
             _penalized_cost(driver.allowed_mots, d_i.loc, d_j.loc,
                             d_i.earliest_departure_s, d_j.latest_arrival_s,

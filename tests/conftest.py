@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from mmcrp.model import (
+    CAR,
     CostParams,
     Depot,
     Instance,
@@ -33,6 +36,14 @@ def make_instance(depot_locs, users, vehicles=(1, 1), mots=None, costs=None,
     )
     return Instance(depots, trips, mots or default_mots(),
                     costs or CostParams(), sigma, tau)
+
+
+def car_only(instance):
+    """The instance with the car as its only mode, in the table and for
+    every user."""
+    return replace(instance, mots={CAR: instance.mots[CAR]},
+                   users=tuple(replace(u, allowed_mots=frozenset({CAR}))
+                               for u in instance.users))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mmcrp
-from conftest import make_instance, make_task
+from conftest import car_only, make_instance, make_task
 from mmcrp import cli, colgen, edgeform, milp
 from mmcrp.cli import main, split_fleet
 from mmcrp.instgen import SIGMA_S, GenParams, generate, instance_to_dict, \
@@ -297,6 +297,16 @@ def test_joint_k_flag_reaches_the_enumeration(tmp_path):
     joint = (tmp_path / "joint.edges.csv").read_text()
     assert joint == (tmp_path / "expected.csv").read_text()
     assert joint != (tmp_path / "own.edges.csv").read_text()
+
+
+def test_joint_k_without_a_non_car_mode(tmp_path):
+    # no common fallback mode exists: each leg keeps its own sentinel
+    inst = tmp_path / "car_only.json"
+    write_instance(car_only(generate(GenParams(
+        n_users=12, seed=0, vehicles_per_depot=[2, 2]))), inst)
+    for command in ("solve", "compare"):
+        assert run_cli(command, str(inst), "--joint-k",
+                       "--out", str(tmp_path / command)) == 0
 
 
 def test_solves_import_numpy_but_not_scipy(tmp_path):

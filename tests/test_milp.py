@@ -169,6 +169,24 @@ def test_ip_integral_relaxation_returned_unchanged():
     assert r.gap == 0.0
 
 
+@pytest.mark.parametrize("fractions,pick", [
+    # a later column wins only if farther by more than 1e-12 (not argmax)
+    ([0.4, 0.4 + 0.5e-12], 0),
+    # 2 beats 0 by more than 1e-12, 1 does not: the scan runs from the
+    # lowest index over every column, not only those near the largest
+    ([0.4 - 3e-12, 0.4 - 2.5e-12, 0.4 - 1.8e-12], 2),
+    # a fraction counts only beyond TOL_INT + 1e-12
+    ([milp.TOL_INT + 0.5e-12], -1),
+    ([milp.TOL_INT + 2e-12], 0),
+])
+def test_branching_picks_the_most_fractional(fractions, pick):
+    # every value lies in (0, 0.5), so it is its own fraction; the continuous
+    # column in front is the most fractional and is skipped
+    x = np.array([0.45] + fractions)
+    mask = np.array([False] + [True] * len(fractions))
+    assert milp._most_fractional(x, mask) == (pick + 1 if pick >= 0 else -1)
+
+
 def test_knapsack_matches_enumeration():
     rng = np.random.default_rng(11)
     vals = rng.uniform(1, 20, 12)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import SIGMA, TAU, make_instance, make_task
+from conftest import SIGMA, TAU, car_only, make_instance, make_task
 from test_enumeration_reference import assert_same, reference_enumerate_variants
 from mmcrp.instgen import GenParams, generate
 from mmcrp.model import ALL_MOTS, CAR, default_mots, travel_time, trip_legs
@@ -237,6 +237,16 @@ def test_long_days_match_the_full_scan():
         for joint_k in (False, True):
             assert_same(enumerate_variants(inst, caps, joint_k=joint_k),
                         reference_enumerate_variants(inst, caps, joint_k=joint_k))
+
+
+def test_joint_k_on_a_car_only_table_keeps_each_legs_fallback():
+    # no common non-car mode to pick: a share prices both legs as without
+    # the flag, one penalty each
+    inst = car_only(generate(GenParams(n_users=12, seed=0,
+                                       vehicles_per_depot=[2, 2])))
+    own = enumerate_variants(inst)
+    assert any(v.shares for v in own.all)
+    assert_same(enumerate_variants(inst, joint_k=True), own)
 
 
 def test_negative_cap_is_rejected():
